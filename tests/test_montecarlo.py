@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from ccdet import (
     write_sweep_csv,
 )
 from ccdet import test_stat_distribution as statistic_laws
-from ccdet.montecarlo import PHI_STREAM_BASE, SWEEP_CSV_HEADER
+from ccdet.montecarlo import PHI_STREAM_BASE, SWEEP_CSV_HEADER, _accumulate, _Counts
 
 
 def _deterministic_scenario(seed=101, trials=400) -> Scenario:
@@ -51,12 +52,14 @@ def _random_scenario(seed=202, trials=400, mean_scale=0.0) -> Scenario:
     return Scenario(model=model, compressed_dim=15, num_nodes=6, seed=seed, trials=trials)
 
 
-def _injection_scenario(seed=303, kappa=1.0, art_variance=0.5, fraction=0.4) -> Scenario:
+def _injection_scenario(
+    seed=303, kappa=1.0, art_variance=0.5, fraction=0.4, signal_variance=0.6
+) -> Scenario:
     p = 12
     model = SignalModel(
         ambient_dim=p,
         mean=np.full(p, 0.5),
-        signal_variance=0.6,
+        signal_variance=signal_variance,
         noise_variance=1.2,
     )
     policy = InjectionPolicy(
@@ -142,6 +145,48 @@ def test_engine_agrees_with_scalar_path(make_scenario):
     else:
         assert result.pe_ev is None
         assert result.pe_ev_ci is None
+
+
+# (n_h0, n_h1, fc false alarms, fc detections, eve false alarms, eve
+# detections) of a 2000-trial estimate; any change to the draws, the
+# statistics or the thresholds moves these counts
+PINNED_COUNTS = {
+    "deterministic": (1000, 1000, 212, 780, 0, 0),
+    "random_zero_mean": (1000, 1000, 244, 722, 0, 0),
+    "random_nonzero_mean": (1000, 1000, 103, 732, 0, 0),
+    "injection_deterministic": (1000, 1000, 160, 844, 325, 662),
+    "injection_random": (1000, 1000, 172, 894, 158, 703),
+}
+
+
+def _pinned_scenario(kind: str) -> Scenario:
+    if kind == "deterministic":
+        return _deterministic_scenario(seed=11)
+    if kind == "random_zero_mean":
+        return _random_scenario(seed=12)
+    if kind == "random_nonzero_mean":
+        return replace(_random_scenario(seed=13, mean_scale=0.3), priors=(0.6, 0.4))
+    if kind == "injection_deterministic":
+        return _injection_scenario(seed=14, signal_variance=0.0)
+    return replace(_injection_scenario(seed=15), priors=(0.4, 0.6))
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_COUNTS))
+def test_pinned_verdict_counts(kind):
+    scenario = _pinned_scenario(kind)
+    op = _operator(scenario)
+    counts = _Counts()
+    _accumulate(scenario, op, 2000, counts, 1024)
+    got = (counts.n_h0, counts.n_h1, counts.fc_fa, counts.fc_det, counts.eve_fa, counts.eve_det)
+    assert got == PINNED_COUNTS[kind]
+    n_h0, n_h1, fa, det, eve_fa, eve_det = got
+    result = estimate_errors(scenario, op, 2000)
+    p0, p1 = scenario.priors
+    assert (result.pf_fc, result.pd_fc) == (fa / n_h0, det / n_h1)
+    if scenario.injection is None:
+        assert result.pe_ev is None
+    else:
+        assert result.pe_ev == p0 * (eve_fa / n_h0) + p1 * (1.0 - eve_det / n_h1)
 
 
 def test_estimate_errors_chunk_invariance():
