@@ -44,6 +44,7 @@ from .montecarlo import (
     PHI_STREAM_BASE,
     closed_form_columns,
     estimate_errors,
+    format_value,
 )
 from .projection import gen_projection
 
@@ -172,18 +173,10 @@ def _scenario_operator(scenario: Scenario):
     )
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_report(path, pairs: list[tuple[str, object]]) -> None:
     with open(path, "w") as handle:
         for key, value in pairs:
-            handle.write(f"{key} = {_format_value(value)}\n")
+            handle.write(f"{key} = {format_value(value)}\n")
 
 
 def _write_csv(path, header: list[str], rows: list[list[object]]) -> None:
@@ -191,7 +184,7 @@ def _write_csv(path, header: list[str], rows: list[list[object]]) -> None:
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_format_value(cell) for cell in row])
+            writer.writerow([format_value(cell) for cell in row])
 
 
 def _analyze_pairs(config: ExperimentConfig) -> list[tuple[str, object]]:

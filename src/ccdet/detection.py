@@ -1,18 +1,22 @@
-"""Test statistics, thresholds, and decisions at the fusion center and at an
-eavesdropper.
+"""Per-node observation densities and the likelihood-ratio tests of the
+fusion center and the eavesdropper.
 
-The fusion center pools every node's compressed observation into one
-likelihood-ratio test. For a deterministic signal the statistic is linear (a
-matched filter against the projected signal); for a random signal it combines
-a quadratic energy term with a linear mean term. Under artificial-noise
-injection each observation follows a three-component Gaussian mixture: the
-fusion center, which knows who injects, scores flagged nodes against the
-mixture with the true add/subtract probabilities, while the eavesdropper,
-which cannot tell nodes apart, scores every node against a mixture whose
-weights are rescaled by the injecting fraction.
+Every covariance in the model is a scalar times G = phi phi^T, so after
+whitening a compressed observation y by L^-1 (L L^T = G) each node's density
+is an isotropic Gaussian mixture whose component means all lie on the one
+direction u = L^-1 phi mu. A density then depends on y only through two
+numbers: the projection y^T G^-1 phi mu = z^T u and the whitened energy
+||z||^2, and the energy cancels from a likelihood ratio whose two hypotheses
+share a variance (a deterministic signal).
 
-All likelihoods are evaluated in the log domain against a cached Cholesky
-factorization, and every test resolves ties toward the null hypothesis.
+Without injection every node follows the clean pair of densities. Under
+artificial-noise injection each injecting node's observation follows a
+three-component mixture: the fusion center, which knows who injects, scores
+those nodes against the mixture with the true add/subtract probabilities and
+the rest against the clean pair, while the eavesdropper, which cannot tell
+nodes apart, scores every node against a mixture whose weights are rescaled
+by the injecting fraction. Both tests compare the summed log-likelihood
+ratio with log(P0/P1) and resolve ties toward the null hypothesis.
 """
 
 from __future__ import annotations
@@ -21,139 +25,130 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
 
-from .analytics import random_thresholds
 from .errors import (
     DimensionError,
     DomainError,
     ProbabilityError,
     SingularCovarianceError,
 )
-from .model import Scenario, SignalModel
+from .model import Scenario
 from .projection import ProjectionOperator
 
 WEIGHT_SUM_TOL = 1e-12
+# whitened energies are formed this many values (4 MB) at a time, so scoring
+# never holds a second array the size of the whole stack of trials
+WHITEN_BLOCK = 2**19
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Finite Gaussian mixture with one shared covariance.
+    """Isotropic Gaussian mixture in whitened coordinates whose component
+    means all lie on one direction u.
+
+    Component k has mean offsets[k] * u and covariance variance * I_dim.
 
     Attributes:
         weights: Component probabilities, summing to one.
-        means: Component means, one row per component.
-        cov: Shared covariance matrix, symmetric positive definite.
+        offsets: Component mean positions along u, one per weight.
+        variance: Shared per-coordinate variance, strictly positive.
+        energy: Squared length ||u||^2 of the direction.
+        dim: Dimension of the whitened observations.
     """
 
     weights: np.ndarray
-    means: np.ndarray
-    cov: np.ndarray
+    offsets: np.ndarray
+    variance: float
+    energy: float
+    dim: int
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float, copy=True)
-        means = np.atleast_2d(np.array(self.means, dtype=float, copy=True))
-        cov = np.array(self.cov, dtype=float, copy=True)
+        offsets = np.array(self.offsets, dtype=float, copy=True)
         if weights.ndim != 1 or weights.size == 0:
             raise DimensionError("weights must be a nonempty 1-d array")
         if np.any(weights < 0.0):
             raise ProbabilityError("mixture weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ProbabilityError("mixture weights must sum to one")
-        if means.shape[0] != weights.size:
-            raise DimensionError("one mean row per weight is required")
-        dim = means.shape[1]
-        if cov.shape != (dim, dim):
-            raise DimensionError(
-                f"cov must be {dim}x{dim} to match the means, got {cov.shape}"
-            )
-        scale = float(np.abs(cov).max()) if cov.size else 0.0
-        if scale <= 0.0 or np.abs(cov - cov.T).max() > 1e-9 * scale:
-            raise SingularCovarianceError("cov must be symmetric positive definite")
-        try:
-            chol = cholesky(0.5 * (cov + cov.T), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovarianceError("cov is not positive definite") from exc
-        log_det = 2.0 * float(np.log(np.diag(chol)).sum())
-        with np.errstate(divide="ignore"):
-            log_weights = np.where(weights > 0.0, np.log(weights), -np.inf)
-        for arr in (weights, means, cov, chol, log_weights):
+        if offsets.shape != weights.shape:
+            raise DimensionError("one offset per weight is required")
+        if not float(self.variance) > 0.0:
+            raise SingularCovarianceError("variance must be strictly positive")
+        if not float(self.energy) >= 0.0:
+            raise DomainError("energy must be nonnegative")
+        if int(self.dim) < 1:
+            raise DimensionError("dim must be a positive integer")
+        log_weights = np.full(weights.shape, -np.inf)
+        np.log(weights, out=log_weights, where=weights > 0.0)
+        for arr in (weights, offsets, log_weights):
             arr.flags.writeable = False
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "_chol", chol)
-        object.__setattr__(self, "_log_det", log_det)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "energy", float(self.energy))
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "_log_weights", log_weights)
-
-    @property
-    def dim(self) -> int:
-        return self.means.shape[1]
 
     @property
     def num_components(self) -> int:
         return self.weights.size
 
-    def component_logpdfs(self, ys: np.ndarray) -> np.ndarray:
-        """Log densities of each component at each row of ys, shape (T, K)."""
-        ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        if ys.shape[1] != self.dim:
-            raise DimensionError(
-                f"observations must have length {self.dim}, got shape {ys.shape}"
-            )
-        chol = self._chol
-        # whiten the (T, K, M) residual tensor in one triangular solve
-        resid = ys[:, None, :] - self.means[None, :, :]
-        flat = resid.reshape(-1, self.dim)
-        z = solve_triangular(chol, flat.T, lower=True).T
-        quad = np.einsum("ij,ij->i", z, z).reshape(ys.shape[0], self.num_components)
-        return -0.5 * quad - 0.5 * self._log_det - 0.5 * self.dim * _LOG_2PI
+    def loglik_rows(self, proj, sq_norm) -> np.ndarray:
+        """Mixture log density of whitened observations z, elementwise over
+        proj = z^T u and sq_norm = ||z||^2 (arrays of one shape).
 
-    def loglik_rows(self, ys: np.ndarray) -> np.ndarray:
-        """Mixture log density at each row of ys, shape (T,)."""
-        logpdfs = self.component_logpdfs(ys)
+        A caller that only differences two mixtures of equal variance may
+        pass sq_norm = 0: the energy term -sq_norm / (2 variance) is then the
+        same on both sides and cancels.
+        """
+        proj = np.asarray(proj, dtype=float)
+        inv_var = 1.0 / self.variance
+        base = -0.5 * inv_var * sq_norm - 0.5 * self.dim * (
+            _LOG_2PI + math.log(self.variance)
+        )
         if self.num_components == 1:
-            return logpdfs[:, 0]
-        scored = logpdfs + self._log_weights[None, :]
-        shift = scored.max(axis=1)
+            c = float(self.offsets[0])
+            return (inv_var * c) * proj + (base - 0.5 * inv_var * c * c * self.energy)
+        offsets = self.offsets
+        scored = self._log_weights + inv_var * (
+            proj[..., None] * offsets - 0.5 * self.energy * offsets * offsets
+        )
+        shift = scored.max(axis=-1)
         # all-zero-weight rows cannot occur (weights sum to one)
-        return shift + np.log(np.exp(scored - shift[:, None]).sum(axis=1))
-
-    def loglik(self, y: np.ndarray) -> float:
-        """Mixture log density at a single observation."""
-        y = np.asarray(y, dtype=float)
-        if y.ndim != 1:
-            raise DimensionError("loglik expects a single observation vector")
-        return float(self.loglik_rows(y[None, :])[0])
+        return base + shift + np.log(np.exp(scored - shift[..., None]).sum(axis=-1))
 
 
-def mixture_loglik(y: np.ndarray, mix: GaussianMixture) -> float:
-    """Log density of the mixture at y, max-shift stabilized; exact for
-    single-component mixtures."""
-    return mix.loglik(y)
+Pair = tuple[GaussianMixture, GaussianMixture]
 
 
-@dataclass(frozen=True)
-class Decision:
-    """One likelihood-ratio test outcome.
+@dataclass(frozen=True, eq=False)
+class ScenarioMixtures:
+    """Observation densities of one scenario under each hypothesis.
 
     Attributes:
-        statistic: Value of the test statistic.
-        threshold: Decision threshold.
-        verdict: "H1" when statistic > threshold, else "H0" (ties to H0).
+        op: The shared projection operator (whitens observations).
+        template: G^-1 phi mu, so a node's projection is y @ template.
+        threshold: log(P0/P1); a test decides H1 only above it.
+        num_injecting: Injecting nodes, the first rows of every trial.
+        clean: (H0, H1) single-component densities of a non-injecting node.
+        fc_byz: (H0, H1) mixtures for an injecting node as scored by the
+            fusion center (true add/subtract probabilities); None without
+            injection.
+        eve: (H0, H1) mixtures as scored by the eavesdropper (weights
+            rescaled by the injecting fraction); None without injection,
+            where the eavesdropper's test coincides with the fusion center's.
     """
 
-    statistic: float
+    op: ProjectionOperator
+    template: np.ndarray
     threshold: float
-    verdict: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "statistic", float(self.statistic))
-        object.__setattr__(self, "threshold", float(self.threshold))
-        verdict = "H1" if self.statistic > self.threshold else "H0"
-        object.__setattr__(self, "verdict", verdict)
+    num_injecting: int
+    clean: Pair
+    fc_byz: Pair | None = None
+    eve: Pair | None = None
 
 
 def _prior_log_ratio(priors: tuple[float, float]) -> float:
@@ -167,210 +162,93 @@ def _prior_log_ratio(priors: tuple[float, float]) -> float:
     return math.log(p0 / p1)
 
 
-def _check_observations(ys: np.ndarray, op: ProjectionOperator) -> np.ndarray:
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    if ys.shape[1] != op.compressed_dim:
-        raise DimensionError(
-            f"observations must have length {op.compressed_dim}, got shape {ys.shape}"
-        )
-    return ys
-
-
-def compress(op: ProjectionOperator, u: np.ndarray) -> np.ndarray:
-    """Compressed observation y = phi u."""
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.shape[0] != op.ambient_dim:
-        raise DimensionError(
-            f"u must be a length-{op.ambient_dim} vector, got shape {u.shape}"
-        )
-    return op.compress(u)
-
-
-def fc_statistic_deterministic(
-    ys: np.ndarray, op: ProjectionOperator, s: np.ndarray
-) -> float:
-    """Fused matched-filter statistic sum_i y_i^T (phi phi^T)^-1 (phi s)."""
-    ys = _check_observations(ys, op)
-    s = np.asarray(s, dtype=float)
-    if s.shape != (op.ambient_dim,):
-        raise DimensionError(
-            f"s must be a length-{op.ambient_dim} vector, got shape {s.shape}"
-        )
-    template = op.gram_solve(op.compress(s))
-    return float(ys.sum(axis=0) @ template)
-
-
-def fc_threshold_deterministic(op: ProjectionOperator, s: np.ndarray, n: int) -> float:
-    """Equal-priors threshold (n/2) ||P_hat s||^2 for the matched-filter
-    statistic."""
-    s = np.asarray(s, dtype=float)
-    if s.shape != (op.ambient_dim,):
-        raise DimensionError(
-            f"s must be a length-{op.ambient_dim} vector, got shape {s.shape}"
-        )
-    n = int(n)
-    if n < 1:
-        raise DimensionError("n must be a positive integer")
-    return 0.5 * n * op.projector_energy(s)
-
-
-def fc_statistic_random(
-    ys: np.ndarray, op: ProjectionOperator, model: SignalModel
-) -> float:
-    """Fused random-signal statistic.
-
-    With G = (phi phi^T)^-1 and r = signal_variance / noise_variance:
-    r * sum_i y_i^T G y_i + 2 * sum_i y_i^T G (phi mu).
-    """
-    if model.signal_variance <= 0.0:
-        raise DomainError("fc_statistic_random needs signal_variance > 0")
-    if model.ambient_dim != op.ambient_dim:
-        raise DimensionError("model and operator ambient dimensions differ")
-    ys = _check_observations(ys, op)
-    z = op.whiten(ys)
-    quad = float(np.einsum("ij,ij->", z, z))
-    template = op.whiten(op.compress(model.mean))
-    linear = float(z.sum(axis=0) @ template)
-    ratio = model.signal_variance / model.noise_variance
-    return ratio * quad + 2.0 * linear
-
-
-def fc_threshold_random(
-    model: SignalModel,
-    m: int,
-    n: int,
-    op: ProjectionOperator,
-    priors: tuple[float, float] = (0.5, 0.5),
-) -> float:
-    """Threshold of the fused random-signal test at the given priors,
-    (a+b)(2 log(P0/P1) + n m log(1 + a/b)) + n ||P_hat mu||^2 with a, b the
-    signal and noise variances."""
-    if int(m) != op.compressed_dim:
-        raise DimensionError(
-            f"m={m} does not match the operator's compressed dimension "
-            f"{op.compressed_dim}"
-        )
-    if model.ambient_dim != op.ambient_dim:
-        raise DimensionError("model and operator ambient dimensions differ")
-    energy = op.projector_energy(model.mean)
-    raw, _ = random_thresholds(model, int(m), int(n), energy, priors)
-    return raw
-
-
-@dataclass(frozen=True)
-class ScenarioMixtures:
-    """Observation densities of one injection scenario under each hypothesis.
-
-    Attributes:
-        fc_byz: (H0, H1) mixtures for an injecting node as scored by the
-            fusion center (true add/subtract probabilities).
-        eve: (H0, H1) mixtures as scored by the eavesdropper (weights rescaled
-            by the injecting fraction).
-        clean: (H0, H1) single-component densities of a non-injecting node.
-    """
-
-    fc_byz: tuple[GaussianMixture, GaussianMixture]
-    eve: tuple[GaussianMixture, GaussianMixture]
-    clean: tuple[GaussianMixture, GaussianMixture]
-
-
 def build_mixtures(scenario: Scenario, op: ProjectionOperator) -> ScenarioMixtures:
-    """Construct all per-node observation densities for an injection scenario.
+    """Construct all per-node observation densities of a scenario.
 
-    Injected components sit at offsets {+phi D, -phi D, 0} around the
-    hypothesis mean (0 or phi mu) with D = kappa mu; their covariance is
-    (art_variance + noise_variance) phi phi^T under H0 and gains
-    signal_variance under H1. Clean densities drop the artificial-noise terms.
+    The clean pair has offsets {0} and {1} with variances noise and
+    signal + noise. Injected components sit at offsets {+kappa, -kappa, 0}
+    around the hypothesis offset (0 or 1), with variance art + noise under H0
+    and signal + art + noise under H1, where signal, noise and art are the
+    signal, sensing-noise and artificial-noise variances.
     """
-    policy = scenario.injection
-    if policy is None:
-        raise DomainError("build_mixtures needs a scenario with an injection policy")
     model = scenario.model
     if model.ambient_dim != op.ambient_dim:
         raise DimensionError("scenario and operator ambient dimensions differ")
     if scenario.compressed_dim != op.compressed_dim:
         raise DimensionError("scenario and operator compressed dimensions differ")
-    gram = op.gram
-    mean_h1 = op.compress(model.mean)
-    offset = policy.kappa * mean_h1
-    zero = np.zeros_like(mean_h1)
+    energy = op.projector_energy(model.mean)
+    m = op.compressed_dim
 
-    def byz_components(base: np.ndarray) -> np.ndarray:
-        return np.stack([base + offset, base - offset, base])
+    def density(weights, offsets, variance) -> GaussianMixture:
+        return GaussianMixture(weights, offsets, variance, energy, m)
 
-    cov_h0 = (policy.art_variance + model.noise_variance) * gram
-    cov_h1 = (model.signal_variance + policy.art_variance + model.noise_variance) * gram
-    fc_w0 = np.array([policy.p10, policy.p20, 1.0 - policy.p10 - policy.p20])
-    fc_w1 = np.array([policy.p11, policy.p21, 1.0 - policy.p11 - policy.p21])
-    f = policy.fraction
-    eve_w0 = np.array(
-        [f * policy.p10, f * policy.p20, 1.0 - f * (policy.p10 + policy.p20)]
-    )
-    eve_w1 = np.array(
-        [f * policy.p11, f * policy.p21, 1.0 - f * (policy.p11 + policy.p21)]
-    )
-    clean_h0 = GaussianMixture(
-        weights=np.array([1.0]),
-        means=zero[None, :],
-        cov=model.noise_variance * gram,
-    )
-    clean_h1 = GaussianMixture(
-        weights=np.array([1.0]),
-        means=mean_h1[None, :],
-        cov=(model.signal_variance + model.noise_variance) * gram,
-    )
+    noise, signal = model.noise_variance, model.signal_variance
+    clean = (density([1.0], [0.0], noise), density([1.0], [1.0], signal + noise))
+    fc_byz = eve = None
+    policy = scenario.injection
+    if policy is not None:
+        k = policy.kappa
+        injected = policy.art_variance + noise
+        f = policy.fraction
+
+        def pair(w0, w1) -> Pair:
+            return (
+                density(w0, [k, -k, 0.0], injected),
+                density(w1, [1.0 + k, 1.0 - k, 1.0], signal + injected),
+            )
+
+        fc_byz = pair(
+            [policy.p10, policy.p20, 1.0 - policy.p10 - policy.p20],
+            [policy.p11, policy.p21, 1.0 - policy.p11 - policy.p21],
+        )
+        eve = pair(
+            [f * policy.p10, f * policy.p20, 1.0 - f * (policy.p10 + policy.p20)],
+            [f * policy.p11, f * policy.p21, 1.0 - f * (policy.p11 + policy.p21)],
+        )
+    template = op.gram_solve(op.compress(model.mean))
+    template.flags.writeable = False
     return ScenarioMixtures(
-        fc_byz=(
-            GaussianMixture(fc_w0, byz_components(zero), cov_h0),
-            GaussianMixture(fc_w1, byz_components(mean_h1), cov_h1),
-        ),
-        eve=(
-            GaussianMixture(eve_w0, byz_components(zero), cov_h0),
-            GaussianMixture(eve_w1, byz_components(mean_h1), cov_h1),
-        ),
-        clean=(clean_h0, clean_h1),
+        op=op,
+        template=template,
+        threshold=_prior_log_ratio(scenario.priors),
+        num_injecting=scenario.num_injecting,
+        clean=clean,
+        fc_byz=fc_byz,
+        eve=eve,
     )
 
 
-def fc_decide_with_byzantines(
-    ys: np.ndarray,
-    byz_flags: np.ndarray,
-    mixtures: ScenarioMixtures,
-    priors: tuple[float, float] = (0.5, 0.5),
-) -> Decision:
-    """Fusion-center test with known injector identities: flagged nodes are
-    scored against the injection mixtures, the rest against the clean
-    densities; the summed log likelihood ratio is compared with log(P0/P1)."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    flags = np.asarray(byz_flags, dtype=bool)
-    if flags.shape != (ys.shape[0],):
-        raise DimensionError(
-            f"byz_flags must have one entry per node, got {flags.shape} for "
-            f"{ys.shape[0]} nodes"
-        )
-    statistic = 0.0
-    if flags.any():
-        rows = ys[flags]
-        statistic += float(
-            (mixtures.fc_byz[1].loglik_rows(rows) - mixtures.fc_byz[0].loglik_rows(rows)).sum()
-        )
-    if (~flags).any():
-        rows = ys[~flags]
-        statistic += float(
-            (mixtures.clean[1].loglik_rows(rows) - mixtures.clean[0].loglik_rows(rows)).sum()
-        )
-    return Decision(statistic=statistic, threshold=_prior_log_ratio(priors))
+def log_likelihood_ratios(
+    mixtures: ScenarioMixtures, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Summed log-likelihood ratios of a (T, N, M) stack of trials, one per
+    trial for the fusion center and for the eavesdropper (None without
+    injection). A test decides H1 when its ratio exceeds mixtures.threshold.
+    """
+    ys = np.asarray(ys, dtype=float)
+    m = mixtures.op.compressed_dim
+    if ys.ndim != 3 or ys.shape[2] != m:
+        raise DimensionError(f"expected a (T, N, {m}) stack of trials, got {ys.shape}")
+    proj = ys @ mixtures.template
+    # the energy terms cancel unless the hypotheses' variances differ, which
+    # holds for every pair at once (signal_variance > 0)
+    sq_norm = 0.0
+    if mixtures.clean[0].variance != mixtures.clean[1].variance:
+        sq_norm = np.empty(proj.shape)
+        step = max(1, WHITEN_BLOCK // (ys.shape[1] * m))
+        for lo in range(0, ys.shape[0], step):
+            z = mixtures.op.whiten(ys[lo : lo + step])
+            np.einsum("tnm,tnm->tn", z, z, out=sq_norm[lo : lo + step])
 
+    def summed(pair: Pair, nodes: slice) -> np.ndarray:
+        energy = sq_norm[:, nodes] if np.ndim(sq_norm) else sq_norm
+        h0, h1 = pair
+        llr = h1.loglik_rows(proj[:, nodes], energy) - h0.loglik_rows(proj[:, nodes], energy)
+        return llr.sum(axis=1)
 
-def eve_decide(
-    ys: np.ndarray,
-    mixtures: ScenarioMixtures,
-    priors: tuple[float, float] = (0.5, 0.5),
-) -> Decision:
-    """Eavesdropper test: every node is scored against the fraction-rescaled
-    mixtures (no injector identities available)."""
-    ys = np.atleast_2d(np.asarray(ys, dtype=float))
-    statistic = float(
-        (mixtures.eve[1].loglik_rows(ys) - mixtures.eve[0].loglik_rows(ys)).sum()
-    )
-    return Decision(statistic=statistic, threshold=_prior_log_ratio(priors))
+    everyone = slice(None)
+    if mixtures.eve is None:
+        return summed(mixtures.clean, everyone), None
+    b = mixtures.num_injecting
+    fc = summed(mixtures.fc_byz, slice(None, b)) + summed(mixtures.clean, slice(b, None))
+    return fc, summed(mixtures.eve, everyone)

@@ -1,5 +1,8 @@
-"""Trial-level simulation of the full sensing network and empirical error
-estimation.
+"""Monte Carlo error estimation for the full sensing network.
+
+Every chunk of trials is scored in one call to the likelihood-ratio test of
+:mod:`ccdet.detection`, the same test for the fusion center and the
+eavesdropper and for every signal kind.
 
 Reproducibility contract: every Monte Carlo trial draws from its own random
 substream keyed by (scenario seed, trial index), so results do not depend on
@@ -27,18 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytics
-from .detection import (
-    Decision,
-    ScenarioMixtures,
-    _prior_log_ratio,
-    build_mixtures,
-    eve_decide,
-    fc_decide_with_byzantines,
-    fc_statistic_deterministic,
-    fc_statistic_random,
-    fc_threshold_deterministic,
-    fc_threshold_random,
-)
+from .detection import build_mixtures, log_likelihood_ratios
 from .errors import DimensionError, DomainError
 from .model import RngContract, Scenario, trial_stream, validate_scenario
 from .projection import ProjectionOperator, gen_projection
@@ -64,21 +56,6 @@ SWEEP_CSV_HEADER = (
 )
 
 _SWEEP_AXES = ("c", "N", "kappa", "fraction", "gamma_inv")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Decisions of one simulated trial.
-
-    Attributes:
-        fc_decision: Fusion-center decision.
-        eve_decision: Eavesdropper decision; None without an injection policy,
-            where the eavesdropper's optimal test coincides with the fusion
-            center's.
-    """
-
-    fc_decision: Decision
-    eve_decision: Decision | None
 
 
 @dataclass(frozen=True)
@@ -169,110 +146,6 @@ def _check_op_matches(scenario: Scenario, op: ProjectionOperator) -> None:
         )
 
 
-def simulate_trial(
-    scenario: Scenario,
-    op: ProjectionOperator,
-    hypothesis: str,
-    rng: np.random.Generator,
-) -> TrialOutcome:
-    """Simulate one trial and return the fusion-center (and, under injection,
-    eavesdropper) decisions.
-
-    Without injection the fusion center runs the statistic-versus-threshold
-    test matching the signal model; scenarios with unequal priors add the
-    prior term to the equal-priors threshold (noise_variance * log(P0/P1) in
-    the deterministic case, already included in the random-case threshold).
-    With injection the fusion center scores ground-truth injector flags
-    against the injection mixtures and the eavesdropper scores all nodes
-    against the fraction-rescaled mixtures.
-    """
-    validate_scenario(scenario)
-    _check_op_matches(scenario, op)
-    _check_hypothesis(hypothesis)
-    ys = _draw_trial_ys(scenario, op, hypothesis, rng)
-    model = scenario.model
-    if scenario.injection is not None:
-        mixtures = build_mixtures(scenario, op)
-        flags = np.zeros(scenario.num_nodes, dtype=bool)
-        flags[: scenario.num_injecting] = True
-        fc = fc_decide_with_byzantines(ys, flags, mixtures, scenario.priors)
-        eve = eve_decide(ys, mixtures, scenario.priors)
-        return TrialOutcome(fc_decision=fc, eve_decision=eve)
-    if model.is_deterministic:
-        statistic = fc_statistic_deterministic(ys, op, model.mean)
-        threshold = fc_threshold_deterministic(op, model.mean, scenario.num_nodes)
-        threshold += model.noise_variance * _prior_log_ratio(scenario.priors)
-    else:
-        statistic = fc_statistic_random(ys, op, model)
-        threshold = fc_threshold_random(
-            model, scenario.compressed_dim, scenario.num_nodes, op, scenario.priors
-        )
-    return TrialOutcome(
-        fc_decision=Decision(statistic=statistic, threshold=threshold),
-        eve_decision=None,
-    )
-
-
-class _DecisionEngine:
-    """Vectorized decision rules for one (scenario, operator) pair; shares
-    the exact statistic and threshold definitions of simulate_trial."""
-
-    def __init__(self, scenario: Scenario, op: ProjectionOperator):
-        self.scenario = scenario
-        self.op = op
-        model = scenario.model
-        self.kind: str
-        self.mixtures: ScenarioMixtures | None = None
-        if scenario.injection is not None:
-            self.kind = "injection"
-            self.mixtures = build_mixtures(scenario, op)
-            self.threshold = _prior_log_ratio(scenario.priors)
-            self.num_byz = scenario.num_injecting
-        elif model.is_deterministic:
-            self.kind = "deterministic"
-            self.template = op.gram_solve(op.compress(model.mean))
-            self.threshold = fc_threshold_deterministic(
-                op, model.mean, scenario.num_nodes
-            ) + model.noise_variance * _prior_log_ratio(scenario.priors)
-        else:
-            self.kind = "random"
-            self.template = op.whiten(op.compress(model.mean))
-            self.ratio = model.signal_variance / model.noise_variance
-            self.threshold = fc_threshold_random(
-                model, scenario.compressed_dim, scenario.num_nodes, op, scenario.priors
-            )
-
-    def decide(self, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Verdicts for a stack of trials, shape (T, N, M) -> (fc, eve)."""
-        t = ys.shape[0]
-        if self.kind == "deterministic":
-            stats = ys.sum(axis=1) @ self.template
-            return stats > self.threshold, None
-        if self.kind == "random":
-            z = self.op.whiten(ys)
-            quad = np.einsum("tnm,tnm->t", z, z)
-            linear = z.sum(axis=1) @ self.template
-            stats = self.ratio * quad + 2.0 * linear
-            return stats > self.threshold, None
-        mix = self.mixtures
-        assert mix is not None
-        m = self.op.compressed_dim
-        b = self.num_byz
-        fc_stats = np.zeros(t)
-        if b > 0:
-            rows = ys[:, :b, :].reshape(-1, m)
-            llr = mix.fc_byz[1].loglik_rows(rows) - mix.fc_byz[0].loglik_rows(rows)
-            fc_stats += llr.reshape(t, b).sum(axis=1)
-        if b < self.scenario.num_nodes:
-            rows = ys[:, b:, :].reshape(-1, m)
-            llr = mix.clean[1].loglik_rows(rows) - mix.clean[0].loglik_rows(rows)
-            fc_stats += llr.reshape(t, -1).sum(axis=1)
-        rows = ys.reshape(-1, m)
-        eve_llr = mix.eve[1].loglik_rows(rows) - mix.eve[0].loglik_rows(rows)
-        eve_stats = eve_llr.reshape(t, -1).sum(axis=1)
-        return fc_stats > self.threshold, eve_stats > self.threshold
-
-
 class _Counts:
     """Verdict tallies accumulated across batches and chunks."""
 
@@ -293,7 +166,7 @@ def _accumulate(
     counts: _Counts,
     chunk_size: int,
 ) -> None:
-    engine = _DecisionEngine(scenario, op)
+    mixtures = build_mixtures(scenario, op)
     n_h0 = (trials + 1) // 2
     spans = (("H0", 0, n_h0), ("H1", n_h0, trials))
     n = scenario.num_nodes
@@ -305,18 +178,19 @@ def _accumulate(
             for k, t_index in enumerate(range(lo, hi)):
                 gen = trial_stream(scenario.seed, t_index)
                 ys[k] = _draw_trial_ys(scenario, op, hypothesis, gen)
-            fc, eve = engine.decide(ys)
-            positives = int(fc.sum())
+            fc, eve = log_likelihood_ratios(mixtures, ys)
+            positives = int((fc > mixtures.threshold).sum())
             if hypothesis == "H0":
                 counts.fc_fa += positives
             else:
                 counts.fc_det += positives
             if eve is not None:
                 counts.has_eve = True
+                positives = int((eve > mixtures.threshold).sum())
                 if hypothesis == "H0":
-                    counts.eve_fa += int(eve.sum())
+                    counts.eve_fa += positives
                 else:
-                    counts.eve_det += int(eve.sum())
+                    counts.eve_det += positives
     counts.n_h0 += n_h0
     counts.n_h1 += trials - n_h0
 
@@ -580,7 +454,9 @@ def sweep(scenario_template: Scenario, axis: str, grid) -> list[SweepPoint]:
     return points
 
 
-def _csv_cell(value) -> str:
+def format_value(value) -> str:
+    """Data-file text of one value: empty for None, shortest round-trip
+    repr for floats."""
     if value is None:
         return ""
     if isinstance(value, float):
@@ -596,17 +472,16 @@ def write_sweep_csv(points: list[SweepPoint], path) -> None:
         writer.writerow(SWEEP_CSV_HEADER)
         for point in points:
             r = point.result
-            writer.writerow(
-                [
-                    _csv_cell(point.axis_value),
-                    _csv_cell(r.pe_fc),
-                    _csv_cell(r.pe_fc_ci),
-                    _csv_cell(point.pe_fc_theory),
-                    _csv_cell(r.pe_ev),
-                    _csv_cell(r.pe_ev_ci),
-                    _csv_cell(point.d_fc),
-                    _csv_cell(point.d_ev),
-                    _csv_cell(r.trials),
-                    _csv_cell(r.seed),
-                ]
+            cells = (
+                point.axis_value,
+                r.pe_fc,
+                r.pe_fc_ci,
+                point.pe_fc_theory,
+                r.pe_ev,
+                r.pe_ev_ci,
+                point.d_fc,
+                point.d_ev,
+                r.trials,
+                r.seed,
             )
+            writer.writerow([format_value(cell) for cell in cells])

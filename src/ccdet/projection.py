@@ -33,17 +33,12 @@ class ProjectionOperator:
     Attributes:
         phi: The M x P compression matrix.
         gram: phi phi^T, symmetric positive definite.
-        gram_inverse: Inverse of the Gram matrix.
         gram_cholesky: Lower-triangular Cholesky factor L with L L^T = gram.
-        projector: Orthogonal projector phi^T (phi phi^T)^-1 phi onto the row
-            space of phi.
     """
 
     phi: np.ndarray
     gram: np.ndarray
-    gram_inverse: np.ndarray
     gram_cholesky: np.ndarray
-    projector: np.ndarray
 
     @property
     def compressed_dim(self) -> int:
@@ -115,20 +110,9 @@ def operator_from_matrix(phi: np.ndarray) -> ProjectionOperator:
     diag = np.diag(chol)
     if diag.min() <= 0.0 or (diag.max() / diag.min()) ** 2 > MAX_GRAM_CONDITION:
         raise RankError("phi Gram matrix condition number exceeds the bound")
-    identity = np.eye(m)
-    gram_inverse = cho_solve((chol, True), identity)
-    gram_inverse = 0.5 * (gram_inverse + gram_inverse.T)
-    projector = phi.T @ cho_solve((chol, True), phi)
-    projector = 0.5 * (projector + projector.T)
-    for arr in (phi, gram, gram_inverse, chol, projector):
+    for arr in (phi, gram, chol):
         arr.flags.writeable = False
-    return ProjectionOperator(
-        phi=phi,
-        gram=gram,
-        gram_inverse=gram_inverse,
-        gram_cholesky=chol,
-        projector=projector,
-    )
+    return ProjectionOperator(phi=phi, gram=gram, gram_cholesky=chol)
 
 
 def gen_projection(m: int, p: int, rng: RngContract) -> ProjectionOperator:

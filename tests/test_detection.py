@@ -1,11 +1,14 @@
-"""Statistics, thresholds, mixtures, and decision rules against density
-oracles.
+"""Mixture densities, per-scenario mixtures and the likelihood-ratio tests
+against density oracles.
 
-scipy.stats.multivariate_normal supplies the component densities and
-scipy.special.logsumexp the mixture combination; one extended-precision check
-goes through mpmath. The linear and quadratic statistics are validated by
-verdict equivalence with densities evaluated directly, which pins the
-statistic-threshold pairs to the underlying likelihood-ratio tests.
+scipy.stats.multivariate_normal supplies the component densities in the
+compressed coordinates and scipy.special.logsumexp the mixture combination;
+one extended-precision check goes through mpmath. Projections and whitened
+energies are formed with dense numpy.linalg algebra, independently of the
+operator's cached factorization. Each test of the fusion-center and
+eavesdropper statistics compares the summed log-likelihood ratio with these
+densities evaluated directly, which pins the tests to the underlying
+likelihood-ratio tests.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
+from ccdet import detection
 from ccdet import (
-    Decision,
     DimensionError,
     DomainError,
     GaussianMixture,
@@ -30,199 +33,234 @@ from ccdet import (
     SignalModel,
     SingularCovarianceError,
     build_mixtures,
-    compress,
-    eve_decide,
-    fc_decide_with_byzantines,
-    fc_statistic_deterministic,
-    fc_statistic_random,
-    fc_threshold_deterministic,
-    fc_threshold_random,
+    estimate_errors,
     gen_projection,
-    mixture_loglik,
+    log_likelihood_ratios,
 )
 
 
-def _mixture(seed=0, k=3, dim=4) -> GaussianMixture:
-    rng = np.random.default_rng(seed)
-    weights = rng.random(k)
-    weights /= weights.sum()
-    means = rng.standard_normal((k, dim))
-    a = rng.standard_normal((dim, dim + 2))
-    cov = a @ a.T + 0.5 * np.eye(dim)
-    return GaussianMixture(weights=weights, means=means, cov=cov)
+def _brute_stats(op, mean, ys):
+    """(proj, sq_norm, log det L): y^T G^-1 phi mu, y^T G^-1 y and half the
+    log determinant of G, by dense linear algebra."""
+    gram_inv = np.linalg.inv(op.phi @ op.phi.T)
+    proj = ys @ (gram_inv @ (op.phi @ mean))
+    sq_norm = np.einsum("...i,ij,...j->...", ys, gram_inv, ys)
+    return proj, sq_norm, 0.5 * np.linalg.slogdet(op.phi @ op.phi.T)[1]
+
+
+def _brute_energy(op, mean) -> float:
+    p_hat = op.phi.T @ np.linalg.solve(op.phi @ op.phi.T, op.phi)
+    return float(mean @ p_hat @ mean)
+
+
+def _setting(seed=0, m=4, p=9):
+    op = gen_projection(m, p, RngContract(seed, 2**62))
+    mean = np.random.default_rng(seed + 1).standard_normal(p) * 0.6
+    return op, mean
+
+
+def _mixture(op, mean, weights, offsets, variance) -> GaussianMixture:
+    return GaussianMixture(
+        weights, offsets, variance, _brute_energy(op, mean), op.compressed_dim
+    )
+
+
+def _scipy_mixture_loglik(ys, weights, means, cov):
+    parts = np.stack(
+        [stats.multivariate_normal.logpdf(ys, mean, cov) for mean in means], axis=-1
+    )
+    return logsumexp(np.atleast_2d(parts) + np.log(weights)[None, :], axis=1)
 
 
 def test_mixture_validation():
-    good = _mixture()
+    good = GaussianMixture([0.2, 0.3, 0.5], [1.0, -1.0, 0.0], 1.5, 2.0, 4)
     assert good.num_components == 3
     assert good.dim == 4
     with pytest.raises(ProbabilityError):
-        GaussianMixture(np.array([0.7, 0.7]), np.zeros((2, 2)), np.eye(2))
+        GaussianMixture([0.7, 0.7], [0.0, 1.0], 1.0, 1.0, 2)
     with pytest.raises(ProbabilityError):
-        GaussianMixture(np.array([-0.2, 1.2]), np.zeros((2, 2)), np.eye(2))
+        GaussianMixture([-0.2, 1.2], [0.0, 1.0], 1.0, 1.0, 2)
     with pytest.raises(DimensionError):
-        GaussianMixture(np.array([0.5, 0.5]), np.zeros((3, 2)), np.eye(2))
+        GaussianMixture([0.5, 0.5], [0.0, 1.0, 2.0], 1.0, 1.0, 2)
     with pytest.raises(DimensionError):
-        GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.eye(3))
+        GaussianMixture([1.0], [0.0], 1.0, 1.0, 0)
     with pytest.raises(SingularCovarianceError):
-        GaussianMixture(np.array([1.0]), np.zeros((1, 2)), np.zeros((2, 2)))
-    skew = np.eye(2)
-    skew[0, 1] = 0.5
-    with pytest.raises(SingularCovarianceError):
-        GaussianMixture(np.array([1.0]), np.zeros((1, 2)), skew)
+        GaussianMixture([1.0], [0.0], 0.0, 1.0, 2)
+    with pytest.raises(DomainError):
+        GaussianMixture([1.0], [0.0], 1.0, -1.0, 2)
 
 
 def test_mixture_copies_and_freezes_inputs():
     weights = np.array([0.5, 0.5])
-    means = np.zeros((2, 3))
-    cov = np.eye(3)
-    mix = GaussianMixture(weights, means, cov)
+    offsets = np.array([0.0, 1.0])
+    mix = GaussianMixture(weights, offsets, 1.0, 2.0, 3)
     weights[0] = 0.9
-    means[0, 0] = 5.0
-    cov[0, 0] = 7.0
+    offsets[0] = 5.0
     assert mix.weights[0] == 0.5
-    assert mix.means[0, 0] == 0.0
-    assert mix.cov[0, 0] == 1.0
+    assert mix.offsets[0] == 0.0
     with pytest.raises(ValueError):
         mix.weights[0] = 0.1
+    with pytest.raises(ValueError):
+        mix.offsets[0] = 0.1
 
 
 def test_component_logpdfs_match_scipy():
-    mix = _mixture(seed=5)
+    op, mean = _setting(seed=5)
     ys = np.random.default_rng(6).standard_normal((8, 4))
-    got = mix.component_logpdfs(ys)
-    for k in range(mix.num_components):
-        expected = stats.multivariate_normal.logpdf(ys, mix.means[k], mix.cov)
-        assert np.allclose(got[:, k], expected, rtol=1e-11, atol=1e-11)
-    with pytest.raises(DimensionError):
-        mix.component_logpdfs(np.ones((2, 3)))
+    proj, sq_norm, log_det_l = _brute_stats(op, mean, ys)
+    for offset in (0.0, 1.0, 2.381, -1.4):
+        for variance in (0.3, 2.5):
+            mix = _mixture(op, mean, [1.0], [offset], variance)
+            expected = stats.multivariate_normal.logpdf(
+                ys, offset * (op.phi @ mean), variance * op.gram
+            )
+            got = mix.loglik_rows(proj, sq_norm) - log_det_l
+            assert np.allclose(got, expected, rtol=1e-11, atol=1e-11)
 
 
 def test_loglik_rows_match_scipy_logsumexp():
-    mix = _mixture(seed=7)
+    op, mean = _setting(seed=7)
+    mix = _mixture(op, mean, [0.5, 0.2, 0.3], [1.7, -0.7, 1.0], 1.8)
     ys = np.random.default_rng(8).standard_normal((10, 4)) * 3.0
-    parts = np.stack(
-        [
-            stats.multivariate_normal.logpdf(ys, mix.means[k], mix.cov)
-            for k in range(mix.num_components)
-        ],
-        axis=1,
-    )
-    expected = logsumexp(parts + np.log(mix.weights)[None, :], axis=1)
-    assert np.allclose(mix.loglik_rows(ys), expected, rtol=1e-11, atol=1e-11)
+    proj, sq_norm, log_det_l = _brute_stats(op, mean, ys)
+    means = np.outer(mix.offsets, op.phi @ mean)
+    expected = _scipy_mixture_loglik(ys, mix.weights, means, 1.8 * op.gram)
+    got = mix.loglik_rows(proj, sq_norm) - log_det_l
+    assert np.allclose(got, expected, rtol=1e-11, atol=1e-11)
+    # stacked (T, N) statistics score elementwise
+    stacked = mix.loglik_rows(proj.reshape(2, 5), sq_norm.reshape(2, 5))
+    assert np.array_equal(stacked, mix.loglik_rows(proj, sq_norm).reshape(2, 5))
 
 
 def test_loglik_single_component_is_plain_logpdf():
-    cov = np.array([[2.0, 0.3], [0.3, 1.0]])
-    mix = GaussianMixture(np.array([1.0]), np.array([[1.0, -1.0]]), cov)
+    op, mean = _setting(seed=9, m=2, p=5)
+    mix = _mixture(op, mean, [1.0], [1.0], 2.0)
     y = np.array([0.2, 0.7])
-    expected = stats.multivariate_normal.logpdf(y, mix.means[0], cov)
-    assert mix.loglik(y) == pytest.approx(expected, rel=1e-12)
-    assert mixture_loglik(y, mix) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(DimensionError):
-        mix.loglik(np.ones((2, 2)))
+    proj, sq_norm, log_det_l = _brute_stats(op, mean, y)
+    expected = stats.multivariate_normal.logpdf(y, op.phi @ mean, 2.0 * op.gram)
+    assert float(mix.loglik_rows(proj, sq_norm)) - log_det_l == pytest.approx(
+        expected, rel=1e-12
+    )
+    # a one-weight mixture of several components is the same density
+    padded = _mixture(op, mean, [0.0, 1.0], [3.0, 1.0], 2.0)
+    assert float(padded.loglik_rows(proj, sq_norm)) == pytest.approx(
+        float(mix.loglik_rows(proj, sq_norm)), rel=1e-14
+    )
 
 
 def test_loglik_far_tail_is_stable():
     # naive exp-sum underflows here; the max-shifted form must not
-    mix = GaussianMixture(
-        np.array([0.9, 0.1]),
-        np.array([[0.0, 0.0], [1.0, 1.0]]),
-        np.eye(2),
-    )
-    y = np.array([60.0, 60.0])
-    value = mix.loglik(y)
+    op, mean = _setting(seed=10, m=2, p=4)
+    mix = _mixture(op, mean, [0.9, 0.1], [0.0, 1.0], 1.0)
+    y = 60.0 * (op.phi @ mean) / math.sqrt(mix.energy)
+    proj, sq_norm, log_det_l = _brute_stats(op, mean, y)
+    value = float(mix.loglik_rows(proj, sq_norm)) - log_det_l
     assert math.isfinite(value)
     # the closer component dominates; its term alone is a tight lower bound
-    dominant = stats.multivariate_normal.logpdf(y, mix.means[1], mix.cov) + math.log(0.1)
+    dominant = stats.multivariate_normal.logpdf(y, op.phi @ mean, op.gram) + math.log(0.1)
     assert value >= dominant
     assert value == pytest.approx(dominant, rel=1e-6)
 
 
 def test_loglik_matches_mpmath_reference():
-    mix = GaussianMixture(
-        np.array([0.6, 0.3, 0.1]),
-        np.array([[0.0, 0.0], [2.0, -1.0], [-3.0, 4.0]]),
-        np.array([[1.5, 0.4], [0.4, 0.8]]),
-    )
+    op, mean = _setting(seed=11, m=2, p=5)
+    mix = _mixture(op, mean, [0.6, 0.3, 0.1], [0.0, 2.0, -3.0], 1.3)
     y = np.array([8.0, -5.0])
-    cov_inv = np.linalg.inv(mix.cov)
-    log_norm = -0.5 * (2 * math.log(2 * math.pi) + math.log(np.linalg.det(mix.cov)))
+    proj, sq_norm, log_det_l = _brute_stats(op, mean, y)
+    cov = 1.3 * op.gram
+    cov_inv = np.linalg.inv(cov)
+    log_norm = -0.5 * (2 * math.log(2 * math.pi) + math.log(np.linalg.det(cov)))
     with mpmath.workdps(60):
         total = mpmath.mpf(0)
-        for w, mean in zip(mix.weights, mix.means):
-            d = y - mean
+        for w, offset in zip(mix.weights, mix.offsets):
+            d = y - offset * (op.phi @ mean)
             quad = float(d @ cov_inv @ d)
             total += mpmath.mpf(float(w)) * mpmath.e ** (
                 mpmath.mpf(log_norm) - mpmath.mpf(quad) / 2
             )
         expected = float(mpmath.log(total))
-    assert mix.loglik(y) == pytest.approx(expected, rel=1e-12)
+    got = float(mix.loglik_rows(proj, sq_norm)) - log_det_l
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_decision_tie_goes_to_null():
-    assert Decision(statistic=1.0, threshold=1.0).verdict == "H0"
-    assert Decision(statistic=1.0 + 1e-12, threshold=1.0).verdict == "H1"
-    assert Decision(statistic=0.5, threshold=1.0).verdict == "H0"
+    # a zero signal makes both hypotheses identical: every ratio is exactly
+    # log(P0/P1) = 0, and a tie must decide H0 in every trial
+    model = SignalModel(ambient_dim=10, mean=np.zeros(10), signal_variance=0.0, noise_variance=1.0)
+    scenario = Scenario(model=model, compressed_dim=4, num_nodes=3, seed=5)
+    op = gen_projection(4, 10, RngContract(5, 2**62))
+    mixtures = build_mixtures(scenario, op)
+    ys = np.random.default_rng(5).standard_normal((6, 3, 4))
+    fc, eve = log_likelihood_ratios(mixtures, ys)
+    assert eve is None
+    assert np.all(fc == mixtures.threshold) and mixtures.threshold == 0.0
+    result = estimate_errors(scenario, op, 200)
+    assert (result.pf_fc, result.pd_fc, result.pe_fc) == (0.0, 0.0, 0.5)
 
 
-def test_compress_module_function_checks_shape():
-    op = gen_projection(3, 6, RngContract(1, 2**62))
-    u = np.arange(6.0)
-    assert np.allclose(compress(op, u), op.phi @ u)
-    with pytest.raises(DimensionError):
-        compress(op, np.ones(5))
-    with pytest.raises(DimensionError):
-        compress(op, np.ones((2, 6)))
+def _deterministic_scenario(op, s, n, noise_variance, priors=(0.5, 0.5)) -> Scenario:
+    model = SignalModel(op.ambient_dim, s, 0.0, noise_variance)
+    return Scenario(model=model, compressed_dim=op.compressed_dim, num_nodes=n, priors=priors)
 
 
 def test_fc_statistic_deterministic_matches_brute_force():
+    # the summed ratio is the matched filter sum_i y_i^T G^-1 phi s, shifted
+    # by the projected energy and scaled by the noise variance
     op = gen_projection(4, 9, RngContract(2, 2**62))
     rng = np.random.default_rng(3)
     s = rng.standard_normal(9)
-    ys = rng.standard_normal((5, 4))
+    ys = rng.standard_normal((2, 5, 4))
+    mixtures = build_mixtures(_deterministic_scenario(op, s, 5, 1.3), op)
+    fc, _ = log_likelihood_ratios(mixtures, ys)
     template = np.linalg.solve(op.gram, op.phi @ s)
-    expected = float(sum(y @ template for y in ys))
-    assert fc_statistic_deterministic(ys, op, s) == pytest.approx(expected, rel=1e-11)
+    energy = _brute_energy(op, s)
+    for t in range(2):
+        matched = float(sum(y @ template for y in ys[t]))
+        assert 1.3 * fc[t] == pytest.approx(matched - 0.5 * 5 * energy, rel=1e-10)
     with pytest.raises(DimensionError):
-        fc_statistic_deterministic(ys, op, np.ones(4))
+        log_likelihood_ratios(mixtures, np.ones((2, 5, 3)))
     with pytest.raises(DimensionError):
-        fc_statistic_deterministic(np.ones((5, 3)), op, s)
+        log_likelihood_ratios(mixtures, np.ones((5, 4)))
 
 
 def test_fc_threshold_deterministic_is_half_projected_energy():
+    # the ratio of a node at y = 0 is minus half the projected energy over
+    # the noise variance, so an all-zero trial sits at -(n/2) ||P_hat s||^2
     op = gen_projection(4, 9, RngContract(4, 2**62))
     s = np.random.default_rng(5).standard_normal(9)
+    mixtures = build_mixtures(_deterministic_scenario(op, s, 7, 1.0), op)
+    fc, _ = log_likelihood_ratios(mixtures, np.zeros((1, 7, 4)))
     p_hat = op.phi.T @ np.linalg.solve(op.gram, op.phi)
     expected = 0.5 * 7 * float(s @ p_hat @ s)
-    assert fc_threshold_deterministic(op, s, 7) == pytest.approx(expected, rel=1e-11)
-    with pytest.raises(DimensionError):
-        fc_threshold_deterministic(op, s, 0)
+    assert -fc[0] == pytest.approx(expected, rel=1e-11)
+    assert mixtures.clean[1].energy == pytest.approx(float(s @ p_hat @ s), rel=1e-11)
 
 
 def test_deterministic_verdict_equals_density_ratio_test():
-    # statistic > threshold must coincide with sum of per-node log density
-    # ratios (signal-mean versus zero-mean Gaussians) being positive
+    # the summed ratio must equal the sum of per-node log density ratios
+    # (signal-mean versus zero-mean Gaussians) evaluated directly
     op = gen_projection(3, 8, RngContract(6, 2**62))
     s = np.random.default_rng(7).standard_normal(8) * 0.7
     beta_inv = 1.3
     cov = beta_inv * op.gram
     mean1 = op.phi @ s
     n = 4
-    threshold = fc_threshold_deterministic(op, s, n)
     rng = np.random.default_rng(8)
-    for _ in range(25):
-        ys = rng.multivariate_normal(np.zeros(3), cov, size=n) + (
-            mean1 if rng.random() < 0.5 else 0.0
-        )
-        llr = float(
-            stats.multivariate_normal.logpdf(ys, mean1, cov).sum()
-            - stats.multivariate_normal.logpdf(ys, np.zeros(3), cov).sum()
-        )
-        statistic = fc_statistic_deterministic(ys, op, s)
-        # identity: statistic - threshold = beta_inv * summed log ratio
-        assert statistic - threshold == pytest.approx(beta_inv * llr, rel=1e-8, abs=1e-9)
-        assert (statistic > threshold) == (llr > 0.0)
+    for priors in ((0.5, 0.5), (0.3, 0.7)):
+        mixtures = build_mixtures(_deterministic_scenario(op, s, n, beta_inv, priors), op)
+        log_prior = math.log(priors[0] / priors[1])
+        assert mixtures.threshold == pytest.approx(log_prior, rel=1e-15)
+        for _ in range(25):
+            ys = rng.multivariate_normal(np.zeros(3), cov, size=n) + (
+                mean1 if rng.random() < 0.5 else 0.0
+            )
+            llr = float(
+                stats.multivariate_normal.logpdf(ys, mean1, cov).sum()
+                - stats.multivariate_normal.logpdf(ys, np.zeros(3), cov).sum()
+            )
+            fc, _ = log_likelihood_ratios(mixtures, ys[None])
+            assert fc[0] == pytest.approx(llr, rel=1e-8, abs=1e-9)
+            assert (fc[0] > mixtures.threshold) == (llr > log_prior)
 
 
 def _random_model(p=8, mean_scale=0.4, alpha_inv=0.9, beta_inv=1.4) -> SignalModel:
@@ -233,38 +271,45 @@ def _random_model(p=8, mean_scale=0.4, alpha_inv=0.9, beta_inv=1.4) -> SignalMod
 
 
 def test_fc_statistic_random_matches_brute_force():
+    # with r = a / b the quadratic statistic r sum_i y_i^T G^-1 y_i +
+    # 2 sum_i y_i^T G^-1 phi mu equals 2 (a + b) times the summed ratio plus
+    # n m (a + b) log(1 + a/b) + n ||P_hat mu||^2
     op = gen_projection(3, 8, RngContract(9, 2**62))
     model = _random_model()
-    ys = np.random.default_rng(10).standard_normal((5, 3))
+    scenario = Scenario(model=model, compressed_dim=3, num_nodes=5)
+    ys = np.random.default_rng(10).standard_normal((3, 5, 3))
+    fc, eve = log_likelihood_ratios(build_mixtures(scenario, op), ys)
+    assert eve is None
     gram_inv = np.linalg.inv(op.gram)
     proj_mean = op.phi @ model.mean
-    ratio = model.signal_variance / model.noise_variance
-    expected = ratio * float(np.einsum("ij,jk,ik->", ys, gram_inv, ys)) + 2.0 * float(
-        ys.sum(axis=0) @ gram_inv @ proj_mean
-    )
-    assert fc_statistic_random(ys, op, model) == pytest.approx(expected, rel=1e-10)
-    deterministic = SignalModel(8, model.mean, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        fc_statistic_random(ys, op, deterministic)
+    a, b = model.signal_variance, model.noise_variance
+    shift = 5 * 3 * (a + b) * math.log1p(a / b) + 5 * _brute_energy(op, model.mean)
+    for t in range(3):
+        statistic = (a / b) * float(np.einsum("ij,jk,ik->", ys[t], gram_inv, ys[t])) + 2.0 * float(
+            ys[t].sum(axis=0) @ gram_inv @ proj_mean
+        )
+        assert 2.0 * (a + b) * fc[t] + shift == pytest.approx(statistic, rel=1e-10)
 
 
 def test_fc_threshold_random_uses_realized_energy():
     op = gen_projection(3, 8, RngContract(11, 2**62))
     model = _random_model()
-    a, b = model.signal_variance, model.noise_variance
-    energy = op.projector_energy(model.mean)
-    n = 6
-    expected = (a + b) * (n * 3 * math.log1p(a / b)) + n * energy
-    assert fc_threshold_random(model, 3, n, op) == pytest.approx(expected, rel=1e-12)
-    skewed = fc_threshold_random(model, 3, n, op, priors=(0.8, 0.2))
-    assert skewed - expected == pytest.approx((a + b) * 2.0 * math.log(4.0), rel=1e-11)
+    energy = _brute_energy(op, model.mean)
+    scenario = Scenario(model=model, compressed_dim=3, num_nodes=6)
+    mixtures = build_mixtures(scenario, op)
+    for mix in mixtures.clean:
+        assert mix.energy == pytest.approx(energy, rel=1e-12)
+        assert mix.dim == 3
+    assert mixtures.threshold == 0.0
+    skewed = build_mixtures(Scenario(model=model, compressed_dim=3, num_nodes=6, priors=(0.8, 0.2)), op)
+    assert skewed.threshold == pytest.approx(math.log(4.0), rel=1e-14)
     with pytest.raises(DimensionError):
-        fc_threshold_random(model, 4, n, op)
+        build_mixtures(Scenario(model=model, compressed_dim=4, num_nodes=6), op)
 
 
 def test_random_verdict_equals_density_ratio_test():
-    # the quadratic statistic against its threshold must decide exactly like
-    # the Gaussian density ratio with covariances (a+b) G versus b G
+    # the summed ratio against log(P0/P1) must decide exactly like the
+    # Gaussian density ratio with covariances (a+b) G versus b G
     op = gen_projection(3, 8, RngContract(12, 2**62))
     model = _random_model()
     a, b = model.signal_variance, model.noise_variance
@@ -274,7 +319,8 @@ def test_random_verdict_equals_density_ratio_test():
     n = 4
     rng = np.random.default_rng(13)
     for priors in ((0.5, 0.5), (0.75, 0.25)):
-        threshold = fc_threshold_random(model, 3, n, op, priors)
+        scenario = Scenario(model=model, compressed_dim=3, num_nodes=n, priors=priors)
+        mixtures = build_mixtures(scenario, op)
         log_prior = math.log(priors[0] / priors[1])
         for _ in range(25):
             if rng.random() < 0.5:
@@ -285,11 +331,24 @@ def test_random_verdict_equals_density_ratio_test():
                 stats.multivariate_normal.logpdf(ys, mean1, cov1).sum()
                 - stats.multivariate_normal.logpdf(ys, np.zeros(3), cov0).sum()
             )
-            statistic = fc_statistic_random(ys, op, model)
-            assert (statistic > threshold) == (llr > log_prior)
+            fc, _ = log_likelihood_ratios(mixtures, ys[None])
+            assert fc[0] == pytest.approx(llr, rel=1e-9, abs=1e-10)
+            assert (fc[0] > mixtures.threshold) == (llr > log_prior)
 
 
-def _injection_scenario(p=6, m=3, n=5, fraction=0.3, kappa=1.0, art_variance=0.4):
+def test_whitened_energy_does_not_depend_on_block_size(monkeypatch):
+    op = gen_projection(3, 8, RngContract(14, 2**62))
+    scenario = Scenario(model=_random_model(), compressed_dim=3, num_nodes=4)
+    mixtures = build_mixtures(scenario, op)
+    ys = np.random.default_rng(15).standard_normal((50, 4, 3))
+    whole, _ = log_likelihood_ratios(mixtures, ys)
+    # 36 values are three trials: 16 full blocks and a remainder of two
+    monkeypatch.setattr(detection, "WHITEN_BLOCK", 36)
+    blocked, _ = log_likelihood_ratios(mixtures, ys)
+    assert np.array_equal(blocked, whole)
+
+
+def _injection_scenario(p=6, m=3, n=5, fraction=0.3, kappa=1.0, art_variance=0.4, priors=(0.5, 0.5)):
     model = SignalModel(
         ambient_dim=p,
         mean=0.8 * np.ones(p),
@@ -306,7 +365,7 @@ def _injection_scenario(p=6, m=3, n=5, fraction=0.3, kappa=1.0, art_variance=0.4
         art_variance=art_variance,
     )
     return Scenario(
-        model=model, compressed_dim=m, num_nodes=n, seed=17, injection=policy
+        model=model, compressed_dim=m, num_nodes=n, priors=priors, seed=17, injection=policy
     )
 
 
@@ -315,93 +374,93 @@ def test_build_mixtures_structure():
     op = gen_projection(3, 6, RngContract(scenario.seed, 2**62))
     mixtures = build_mixtures(scenario, op)
     model = scenario.model
-    policy = scenario.injection
-    proj_mean = op.phi @ model.mean
-    offset = policy.kappa * proj_mean
+    energy = _brute_energy(op, model.mean)
+    assert mixtures.num_injecting == 2
+    assert np.allclose(mixtures.template, np.linalg.solve(op.gram, op.phi @ model.mean))
 
     h0, h1 = mixtures.fc_byz
     assert np.allclose(h0.weights, [0.8, 0.1, 0.1])
     assert np.allclose(h1.weights, [0.1, 0.8, 0.1])
-    assert np.allclose(h0.means, np.stack([offset, -offset, np.zeros(3)]))
-    assert np.allclose(
-        h1.means, np.stack([proj_mean + offset, proj_mean - offset, proj_mean])
-    )
-    assert np.allclose(h0.cov, (0.4 + 1.1) * op.gram)
-    assert np.allclose(h1.cov, (0.7 + 0.4 + 1.1) * op.gram)
+    assert np.array_equal(h0.offsets, [1.0, -1.0, 0.0])
+    assert np.array_equal(h1.offsets, [2.0, 0.0, 1.0])
+    assert h0.variance == pytest.approx(0.4 + 1.1)
+    assert h1.variance == pytest.approx(0.7 + 0.4 + 1.1)
 
     e0, e1 = mixtures.eve
     assert np.allclose(e0.weights, [0.24, 0.03, 0.73])
     assert np.allclose(e1.weights, [0.03, 0.24, 0.73])
-    assert np.allclose(e0.means, h0.means)
-    assert np.allclose(e0.cov, h0.cov)
+    assert np.array_equal(e0.offsets, h0.offsets)
+    assert e0.variance == h0.variance
 
     c0, c1 = mixtures.clean
     assert c0.num_components == c1.num_components == 1
-    assert np.allclose(c0.means[0], np.zeros(3))
-    assert np.allclose(c1.means[0], proj_mean)
-    assert np.allclose(c0.cov, 1.1 * op.gram)
-    assert np.allclose(c1.cov, (0.7 + 1.1) * op.gram)
+    assert (c0.offsets[0], c1.offsets[0]) == (0.0, 1.0)
+    assert c0.variance == pytest.approx(1.1)
+    assert c1.variance == pytest.approx(0.7 + 1.1)
+    for mix in (h0, h1, e0, e1, c0, c1):
+        assert mix.energy == pytest.approx(energy, rel=1e-12)
+        assert mix.dim == 3
 
 
-def test_build_mixtures_requires_policy_and_matching_dims():
+def test_build_mixtures_without_policy_and_matching_dims():
     scenario = _injection_scenario()
     clean = Scenario(
         model=scenario.model, compressed_dim=3, num_nodes=5, seed=17, injection=None
     )
     op = gen_projection(3, 6, RngContract(17, 2**62))
-    with pytest.raises(DomainError):
-        build_mixtures(clean, op)
+    mixtures = build_mixtures(clean, op)
+    assert mixtures.fc_byz is None and mixtures.eve is None
+    assert mixtures.num_injecting == 0
     mismatched = gen_projection(2, 6, RngContract(17, 2**62))
     with pytest.raises(DimensionError):
         build_mixtures(scenario, mismatched)
+    wider = gen_projection(3, 7, RngContract(17, 2**62))
+    with pytest.raises(DimensionError):
+        build_mixtures(scenario, wider)
 
 
-def _scipy_mixture_loglik(ys, weights, means, cov):
-    parts = np.stack(
-        [stats.multivariate_normal.logpdf(ys, mean, cov) for mean in means], axis=-1
+def _oracle_pair(ys, pair, op, mean):
+    h0, h1 = pair
+    direction = op.phi @ mean
+    return _scipy_mixture_loglik(
+        ys, h1.weights, np.outer(h1.offsets, direction), h1.variance * op.gram
+    ) - _scipy_mixture_loglik(
+        ys, h0.weights, np.outer(h0.offsets, direction), h0.variance * op.gram
     )
-    return logsumexp(np.atleast_2d(parts) + np.log(weights)[None, :], axis=1)
 
 
 def test_fc_decide_with_byzantines_matches_density_oracle():
-    scenario = _injection_scenario()
+    scenario = _injection_scenario(priors=(0.6, 0.4))
     op = gen_projection(3, 6, RngContract(scenario.seed, 2**62))
     mixtures = build_mixtures(scenario, op)
-    flags = np.array([True, True, False, False, False])
+    mean = scenario.model.mean
+    assert mixtures.threshold == pytest.approx(math.log(1.5), rel=1e-12)
     rng = np.random.default_rng(21)
-    for _ in range(20):
-        ys = rng.standard_normal((5, 3)) * 2.0
-        decision = fc_decide_with_byzantines(ys, flags, mixtures, priors=(0.6, 0.4))
-        byz1 = _scipy_mixture_loglik(
-            ys[:2], mixtures.fc_byz[1].weights, mixtures.fc_byz[1].means, mixtures.fc_byz[1].cov
-        )
-        byz0 = _scipy_mixture_loglik(
-            ys[:2], mixtures.fc_byz[0].weights, mixtures.fc_byz[0].means, mixtures.fc_byz[0].cov
-        )
-        clean1 = stats.multivariate_normal.logpdf(
-            ys[2:], mixtures.clean[1].means[0], mixtures.clean[1].cov
-        )
-        clean0 = stats.multivariate_normal.logpdf(
-            ys[2:], mixtures.clean[0].means[0], mixtures.clean[0].cov
-        )
-        expected = float(byz1.sum() - byz0.sum() + clean1.sum() - clean0.sum())
-        assert decision.statistic == pytest.approx(expected, rel=1e-9, abs=1e-10)
-        assert decision.threshold == pytest.approx(math.log(1.5), rel=1e-12)
-        assert decision.verdict == ("H1" if expected > math.log(1.5) else "H0")
+    ys = rng.standard_normal((20, 5, 3)) * 2.0
+    fc, _ = log_likelihood_ratios(mixtures, ys)
+    for t in range(20):
+        byz = _oracle_pair(ys[t, :2], mixtures.fc_byz, op, mean)
+        clean1 = stats.multivariate_normal.logpdf(ys[t, 2:], op.phi @ mean, 1.8 * op.gram)
+        clean0 = stats.multivariate_normal.logpdf(ys[t, 2:], np.zeros(3), 1.1 * op.gram)
+        expected = float(byz.sum() + clean1.sum() - clean0.sum())
+        assert fc[t] == pytest.approx(expected, rel=1e-9, abs=1e-10)
 
 
 def test_fc_decide_flag_routing():
-    # a wildly offset observation must be scored by the mixture its flag names
-    scenario = _injection_scenario(kappa=3.0, art_variance=0.0)
+    # a wildly offset observation must be scored by the mixture its node's
+    # role names: the first num_injecting nodes are the injectors
+    scenario = _injection_scenario(n=2, fraction=0.5, kappa=3.0, art_variance=0.0)
     op = gen_projection(3, 6, RngContract(scenario.seed, 2**62))
     mixtures = build_mixtures(scenario, op)
+    assert mixtures.num_injecting == 1
     y_at_offset = (op.phi @ scenario.model.mean) * (1.0 + 3.0)
-    ys = np.stack([y_at_offset, np.zeros(3)])
-    flagged = fc_decide_with_byzantines(ys, np.array([True, False]), mixtures)
-    unflagged = fc_decide_with_byzantines(ys, np.array([False, True]), mixtures)
-    assert flagged.statistic != unflagged.statistic
-    with pytest.raises(DimensionError):
-        fc_decide_with_byzantines(ys, np.array([True]), mixtures)
+    flagged, _ = log_likelihood_ratios(mixtures, np.stack([y_at_offset, np.zeros(3)])[None])
+    unflagged, _ = log_likelihood_ratios(mixtures, np.stack([np.zeros(3), y_at_offset])[None])
+    assert flagged[0] != unflagged[0]
+    mean = scenario.model.mean
+    expected = _oracle_pair(y_at_offset, mixtures.fc_byz, op, mean)[0]
+    expected += _oracle_pair(np.zeros(3), mixtures.clean, op, mean)[0]
+    assert flagged[0] == pytest.approx(expected, rel=1e-9)
 
 
 def test_eve_decide_matches_density_oracle():
@@ -409,14 +468,9 @@ def test_eve_decide_matches_density_oracle():
     op = gen_projection(3, 6, RngContract(scenario.seed, 2**62))
     mixtures = build_mixtures(scenario, op)
     rng = np.random.default_rng(22)
-    ys = rng.standard_normal((5, 3)) * 1.5
-    decision = eve_decide(ys, mixtures)
-    ev1 = _scipy_mixture_loglik(
-        ys, mixtures.eve[1].weights, mixtures.eve[1].means, mixtures.eve[1].cov
-    )
-    ev0 = _scipy_mixture_loglik(
-        ys, mixtures.eve[0].weights, mixtures.eve[0].means, mixtures.eve[0].cov
-    )
-    expected = float(ev1.sum() - ev0.sum())
-    assert decision.statistic == pytest.approx(expected, rel=1e-9, abs=1e-10)
-    assert decision.threshold == 0.0
+    ys = rng.standard_normal((4, 5, 3)) * 1.5
+    _, eve = log_likelihood_ratios(mixtures, ys)
+    for t in range(4):
+        expected = float(_oracle_pair(ys[t], mixtures.eve, op, scenario.model.mean).sum())
+        assert eve[t] == pytest.approx(expected, rel=1e-9, abs=1e-10)
+    assert mixtures.threshold == 0.0

@@ -1,6 +1,6 @@
-"""Monte Carlo engine tests: reproducibility, chunk invariance, agreement
-between the scalar and vectorized decision paths, closed-form cross-checks,
-and sweep serialization."""
+"""Monte Carlo engine tests: reproducibility, chunk invariance, agreement of
+the vectorized engine with per-trial scipy density ratios, pinned verdict
+counts, closed-form cross-checks, and sweep serialization."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import logsumexp
 
 from ccdet import (
     DimensionError,
@@ -18,20 +20,27 @@ from ccdet import (
     RngContract,
     Scenario,
     SignalModel,
+    build_mixtures,
     closed_form_columns,
     estimate_errors,
     estimate_errors_fresh_phi,
     gen_projection,
+    log_likelihood_ratios,
     pe_deterministic_exact,
     pe_random_exact,
     sample_transformed_statistics,
-    simulate_trial,
     sweep,
     trial_stream,
     write_sweep_csv,
 )
 from ccdet import test_stat_distribution as statistic_laws
-from ccdet.montecarlo import PHI_STREAM_BASE, SWEEP_CSV_HEADER, _accumulate, _Counts
+from ccdet.montecarlo import (
+    PHI_STREAM_BASE,
+    SWEEP_CSV_HEADER,
+    _accumulate,
+    _Counts,
+    _draw_trial_ys,
+)
 
 
 def _deterministic_scenario(seed=101, trials=400) -> Scenario:
@@ -84,45 +93,93 @@ def _operator(scenario: Scenario):
     )
 
 
+def _simulate_trial(scenario: Scenario, op, hypothesis: str, t: int):
+    """One trial drawn from its substream and scored as a T = 1 stack."""
+    ys = _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
+    return log_likelihood_ratios(build_mixtures(scenario, op), ys[None])
+
+
 def test_simulate_trial_reproducible_and_validated():
     scenario = _deterministic_scenario()
     op = _operator(scenario)
-    first = simulate_trial(scenario, op, "H1", trial_stream(scenario.seed, 3))
-    second = simulate_trial(scenario, op, "H1", trial_stream(scenario.seed, 3))
-    assert first.fc_decision.statistic == second.fc_decision.statistic
-    assert first.fc_decision.verdict == second.fc_decision.verdict
-    assert first.eve_decision is None
+    first, first_eve = _simulate_trial(scenario, op, "H1", 3)
+    second, _ = _simulate_trial(scenario, op, "H1", 3)
+    assert first.shape == (1,)
+    assert first[0] == second[0]
+    assert first_eve is None
     with pytest.raises(DomainError):
-        simulate_trial(scenario, op, "h1", trial_stream(scenario.seed, 0))
+        sample_transformed_statistics(
+            _random_scenario(), _operator(_random_scenario()), "h1", 10, trial_stream(0, 0)
+        )
     wrong_op = gen_projection(7, 40, RngContract(scenario.seed, PHI_STREAM_BASE))
     with pytest.raises(DimensionError):
-        simulate_trial(scenario, wrong_op, "H0", trial_stream(scenario.seed, 0))
+        _simulate_trial(scenario, wrong_op, "H0", 0)
 
 
 def test_simulate_trial_injection_produces_both_decisions():
     scenario = _injection_scenario()
     op = _operator(scenario)
-    outcome = simulate_trial(scenario, op, "H0", trial_stream(scenario.seed, 0))
-    assert outcome.fc_decision.verdict in ("H0", "H1")
-    assert outcome.eve_decision is not None
-    assert outcome.eve_decision.threshold == 0.0
+    fc, eve = _simulate_trial(scenario, op, "H0", 0)
+    assert fc.shape == eve.shape == (1,)
+    assert np.isfinite(fc[0]) and np.isfinite(eve[0])
+    assert build_mixtures(scenario, op).threshold == 0.0
+
+
+def _mixture_logpdf(ys, weights, offsets, variance, direction, gram):
+    """Log density of each row of ys under sum_k w_k N(c_k direction,
+    variance * gram), by scipy."""
+    parts = np.stack(
+        [stats.multivariate_normal.logpdf(ys, c * direction, variance * gram) for c in offsets],
+        axis=-1,
+    )
+    with np.errstate(divide="ignore"):
+        return logsumexp(np.atleast_2d(parts) + np.log(weights), axis=-1)
+
+
+def _oracle_llrs(scenario: Scenario, ys: np.ndarray, op):
+    """Per-trial summed log-likelihood ratios (fc, eve) of one (N, M) trial,
+    written out from the scenario fields."""
+    model = scenario.model
+    direction = op.phi @ model.mean
+    gram = op.phi @ op.phi.T
+    a, s = model.signal_variance, model.noise_variance
+
+    def pair(rows, w0, w1, offsets, art):
+        h0 = _mixture_logpdf(rows, w0, offsets, art + s, direction, gram)
+        h1 = _mixture_logpdf(rows, w1, offsets + 1.0, a + art + s, direction, gram)
+        return float((h1 - h0).sum())
+
+    def clean(rows):
+        return pair(rows, [1.0], [1.0], np.zeros(1), 0.0)
+
+    policy = scenario.injection
+    if policy is None:
+        return clean(ys), None
+    b = scenario.num_injecting
+    k, f, art = policy.kappa, policy.fraction, policy.art_variance
+    offsets = np.array([k, -k, 0.0])
+    fc_w0 = [policy.p10, policy.p20, 1.0 - policy.p10 - policy.p20]
+    fc_w1 = [policy.p11, policy.p21, 1.0 - policy.p11 - policy.p21]
+    eve_w0 = [f * policy.p10, f * policy.p20, 1.0 - f * (policy.p10 + policy.p20)]
+    eve_w1 = [f * policy.p11, f * policy.p21, 1.0 - f * (policy.p11 + policy.p21)]
+    fc = pair(ys[:b], fc_w0, fc_w1, offsets, art) + clean(ys[b:])
+    return fc, pair(ys, eve_w0, eve_w1, offsets, art)
 
 
 def _replay_counts(scenario: Scenario, op, trials: int):
-    """Re-run the engine's trial schedule through the scalar path."""
+    """Replay the engine's trial schedule and decide each trial by the
+    scipy density ratio against log(P0/P1)."""
+    p0, p1 = scenario.priors
+    threshold = math.log(p0 / p1)
     n_h0 = (trials + 1) // 2
-    fa = det = eve_fa = eve_det = 0
-    for t in range(n_h0):
-        outcome = simulate_trial(scenario, op, "H0", trial_stream(scenario.seed, t))
-        fa += outcome.fc_decision.verdict == "H1"
-        if outcome.eve_decision is not None:
-            eve_fa += outcome.eve_decision.verdict == "H1"
-    for t in range(n_h0, trials):
-        outcome = simulate_trial(scenario, op, "H1", trial_stream(scenario.seed, t))
-        det += outcome.fc_decision.verdict == "H1"
-        if outcome.eve_decision is not None:
-            eve_det += outcome.eve_decision.verdict == "H1"
-    return n_h0, fa, det, eve_fa, eve_det
+    counts = {"H0": [0, 0], "H1": [0, 0]}
+    for t in range(trials):
+        hypothesis = "H0" if t < n_h0 else "H1"
+        ys = _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
+        fc, eve = _oracle_llrs(scenario, ys, op)
+        counts[hypothesis][0] += fc > threshold
+        counts[hypothesis][1] += eve is not None and eve > threshold
+    return n_h0, counts["H0"][0], counts["H1"][0], counts["H0"][1], counts["H1"][1]
 
 
 @pytest.mark.parametrize(
@@ -131,6 +188,7 @@ def _replay_counts(scenario: Scenario, op, trials: int):
     ids=["deterministic", "random", "injection"],
 )
 def test_engine_agrees_with_scalar_path(make_scenario):
+    # the scalar path is the per-trial scipy density ratio of _oracle_llrs
     scenario = make_scenario()
     op = _operator(scenario)
     trials = 120
@@ -187,6 +245,23 @@ def test_pinned_verdict_counts(kind):
         assert result.pe_ev is None
     else:
         assert result.pe_ev == p0 * (eve_fa / n_h0) + p1 * (1.0 - eve_det / n_h1)
+
+
+@pytest.mark.parametrize("priors", [(1.0, 0.0), (0.0, 1.0)])
+@pytest.mark.parametrize(
+    "make_scenario",
+    [_deterministic_scenario, _random_scenario, _injection_scenario],
+    ids=["deterministic", "random", "injection"],
+)
+def test_degenerate_priors_decide_the_certain_hypothesis(make_scenario, priors):
+    # log(P0/P1) is +inf or -inf: every trial decides the hypothesis of
+    # prior one, whatever the signal kind, and no error is made
+    scenario = replace(make_scenario(), priors=priors)
+    result = estimate_errors(scenario, _operator(scenario), 200)
+    rate = 0.0 if priors == (1.0, 0.0) else 1.0
+    assert (result.pf_fc, result.pd_fc, result.pe_fc) == (rate, rate, 0.0)
+    if scenario.injection is not None:
+        assert result.pe_ev == 0.0
 
 
 def test_estimate_errors_chunk_invariance():

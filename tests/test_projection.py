@@ -53,11 +53,15 @@ def test_operator_from_matrix_caches_consistent_algebra():
     phi = rng.standard_normal((4, 9))
     op = operator_from_matrix(phi)
     assert np.allclose(op.gram, phi @ phi.T, rtol=1e-13, atol=0)
-    assert np.allclose(op.gram_inverse, np.linalg.inv(phi @ phi.T), rtol=1e-10, atol=1e-12)
     assert np.allclose(
         op.gram_cholesky @ op.gram_cholesky.T, op.gram, rtol=1e-12, atol=1e-12
     )
-    assert np.allclose(op.projector, _brute_projector(phi), rtol=1e-10, atol=1e-12)
+    # gram_solve against the inverse Gram matrix, on the identity's columns
+    assert np.allclose(op.gram_solve(np.eye(4)), np.linalg.inv(phi @ phi.T), rtol=1e-10, atol=1e-12)
+    # projector_energy is the quadratic form of the row-space projector
+    projector = _brute_projector(phi)
+    for x in np.random.default_rng(8).standard_normal((5, 9)):
+        assert op.projector_energy(x) == pytest.approx(float(x @ projector @ x), rel=1e-10)
 
 
 def test_operator_from_matrix_copies_and_freezes():
@@ -65,7 +69,7 @@ def test_operator_from_matrix_copies_and_freezes():
     op = operator_from_matrix(phi)
     phi[0, 0] = 1e6
     assert op.phi[0, 0] != 1e6
-    for arr in (op.phi, op.gram, op.gram_inverse, op.gram_cholesky, op.projector):
+    for arr in (op.phi, op.gram, op.gram_cholesky):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
 
