@@ -203,6 +203,19 @@ def _deterministic_scenario(op, s, n, noise_variance, priors=(0.5, 0.5)) -> Scen
     return Scenario(model=model, compressed_dim=op.compressed_dim, num_nodes=n, priors=priors)
 
 
+def test_compress_module_function_checks_shape():
+    op = gen_projection(3, 6, RngContract(1, 2**62))
+    u = np.arange(6.0)
+    assert np.allclose(op.compress(u), op.phi @ u)
+    with pytest.raises(DimensionError):
+        op.compress(np.ones(5))
+    # stacks of ambient vectors compress row-wise; a wrong trailing length fails
+    stack = np.arange(12.0).reshape(2, 6)
+    assert np.allclose(op.compress(stack), (op.phi @ stack.T).T)
+    with pytest.raises(DimensionError):
+        op.compress(np.ones((2, 5)))
+
+
 def test_fc_statistic_deterministic_matches_brute_force():
     # the summed ratio is the matched filter sum_i y_i^T G^-1 phi s, shifted
     # by the projected energy and scaled by the noise variance
