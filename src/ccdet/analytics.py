@@ -7,9 +7,9 @@ and a Chernoff exponent built on top.
 
 Random-signal case: the (monotone-transformed) fused statistic is a scaled
 noncentral chi-squared variable under each hypothesis; this module carries the
-distribution specs, an exact error probability through a Poisson-weighted
-central chi-squared series, and the large-sample Gaussian approximation of the
-two tail terms.
+distribution specs, an exact error probability from the two noncentral tails
+(scipy.stats.ncx2; the central tails when the noncentrality is zero), and the
+large-sample Gaussian approximation of the two tail terms.
 
 Artificial-noise injection: modified deflection coefficients quantify how far
 apart the two hypothesis mixtures sit at the fusion center and at an
@@ -28,13 +28,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc, erfcinv, gammainc, gammaincc, gammaln
+from scipy.special import erfc, erfcinv, gammainc, gammaincc
 
 from .errors import DomainError, SingularCovarianceError
 from .model import InjectionPolicy, SignalModel
-
-# truncation tolerance for the Poisson-weighted chi-squared series
-NCX2_TAIL_WEIGHT = 1e-12
 
 
 def q_function(x: float) -> float:
@@ -183,49 +180,34 @@ def chi2_cdf(x: float, dof: float) -> float:
     return float(gammainc(0.5 * dof, 0.5 * x))
 
 
-def _ncx2_series(x: float, dof: float, noncentrality: float, upper: bool) -> float:
-    """Poisson-weighted mixture of central chi-squared tails, truncated when
-    the remaining Poisson weight drops below NCX2_TAIL_WEIGHT."""
+def _ncx2_tail(x: float, dof: float, noncentrality: float, upper: bool) -> float:
+    """Upper or lower noncentral chi-squared tail."""
     if dof <= 0:
         raise DomainError("dof must be positive")
     noncentrality = float(noncentrality)
     if noncentrality < 0.0:
         raise DomainError("noncentrality must be nonnegative")
+    if noncentrality == 0.0:
+        return chi2_sf(x, dof) if upper else chi2_cdf(x, dof)
     x = float(x)
     if x <= 0.0:
         return 1.0 if upper else 0.0
-    half = 0.5 * noncentrality
-    tail = gammaincc if upper else gammainc
-    if half == 0.0:
-        return float(tail(0.5 * dof, 0.5 * x))
-    log_half = math.log(half)
-    acc = 0.0
-    weight_sum = 0.0
-    j = 0
-    max_terms = 1000 + int(20.0 * half)
-    while True:
-        log_w = j * log_half - half - float(gammaln(j + 1))
-        w = math.exp(log_w)
-        acc += w * float(tail(0.5 * dof + j, 0.5 * x))
-        weight_sum += w
-        if 1.0 - weight_sum < NCX2_TAIL_WEIGHT:
-            break
-        j += 1
-        if j > max_terms:
-            raise DomainError(
-                f"chi-squared series did not converge (noncentrality={noncentrality})"
-            )
-    return acc
+    # imported here, not at module level: scipy.stats more than doubles the
+    # start-up time and adds about 40 MB to every `ccdet` process, zero-mean
+    # runs included, which need only the central tails above
+    from scipy.stats import ncx2
+
+    return float((ncx2.sf if upper else ncx2.cdf)(x, dof, noncentrality))
 
 
 def ncx2_sf(x: float, dof: float, noncentrality: float) -> float:
     """Noncentral chi-squared upper-tail probability."""
-    return _ncx2_series(x, dof, noncentrality, upper=True)
+    return _ncx2_tail(x, dof, noncentrality, upper=True)
 
 
 def ncx2_cdf(x: float, dof: float, noncentrality: float) -> float:
     """Noncentral chi-squared lower-tail probability."""
-    return _ncx2_series(x, dof, noncentrality, upper=False)
+    return _ncx2_tail(x, dof, noncentrality, upper=False)
 
 
 @dataclass(frozen=True)
@@ -380,14 +362,24 @@ def pe_random_exact(
     projector_mean_energy: float,
     priors: tuple[float, float] = (0.5, 0.5),
 ) -> RandomPeExact:
-    """Exact error probabilities of the random-signal test via the
-    chi-squared series (no Gaussian approximation)."""
-    raw, transformed = random_thresholds(model, m, n, projector_mean_energy, priors)
+    """Exact error probabilities of the random-signal test from the
+    noncentral chi-squared tails (no Gaussian approximation).
+
+    A zero prior makes the other hypothesis certain: the test then always
+    picks it (thresholds -inf or +inf), as the Monte Carlo detector does, and
+    pe is 0.
+    """
     spec_h0, spec_h1 = test_stat_distribution(model, m, n, projector_mean_energy)
-    pf = spec_h0.sf(transformed)
-    pm = spec_h1.cdf(transformed)
-    pd = 1.0 - pm
     p0, p1 = (float(priors[0]), float(priors[1]))
+    if p0 == 0.0 or p1 == 0.0:
+        raw = transformed = -math.inf if p0 == 0.0 else math.inf
+        pf = float(p0 == 0.0)
+        pm = 1.0 - pf
+    else:
+        raw, transformed = random_thresholds(model, m, n, projector_mean_energy, priors)
+        pf = spec_h0.sf(transformed)
+        pm = spec_h1.cdf(transformed)
+    pd = 1.0 - pm
     pe = p0 * pf + p1 * pm
     return RandomPeExact(
         pe=pe, pf=pf, pd=pd, threshold=raw, threshold_transformed=transformed

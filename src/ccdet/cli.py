@@ -39,7 +39,7 @@ from .errors import (
     UnknownFigureError,
     ZeroVectorError,
 )
-from .model import InjectionPolicy, RngContract, Scenario, SignalModel, validate_scenario
+from .model import InjectionPolicy, RngContract, Scenario, SignalModel
 from .montecarlo import (
     PHI_STREAM_BASE,
     closed_form_columns,
@@ -110,12 +110,37 @@ def _get_float(section, key: str, default: float | None = None) -> float:
     return float(section[key])
 
 
+# the documented sections of a config and the keys each may hold
+_CONFIG_KEYS = {
+    "signal": ("ambient_dim", "mean", "signal_variance", "noise_variance"),
+    "scenario": ("compressed_dim", "num_nodes", "prior_h0", "prior_h1", "seed", "trials"),
+    "injection": ("fraction", "p10", "p20", "p11", "p21", "kappa", "art_variance"),
+    "analysis": ("embedding_eps",),
+    "design": ("mode", "c_max", "fraction_min", "tau",
+               "c_grid", "fraction_grid", "kappa_grid", "gamma_inv_grid"),
+}
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read an INI experiment config; see the README for the schema."""
     path = Path(path)
-    parser = configparser.ConfigParser()
+    # default_section="" cannot be named in a file, so a [DEFAULT] section is
+    # an ordinary section here and is rejected as unknown below
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), default_section="")
     with open(path) as handle:
         parser.read_file(handle)
+    for name in parser.sections():
+        if name not in _CONFIG_KEYS:
+            raise DomainError(
+                f"unknown config section [{name}]; allowed sections: "
+                + ", ".join(f"[{known}]" for known in _CONFIG_KEYS)
+            )
+        unknown = [key for key in parser[name] if key not in _CONFIG_KEYS[name]]
+        if unknown:
+            raise DomainError(
+                f"unknown key {unknown[0]!r} in [{name}]; allowed keys: "
+                + ", ".join(_CONFIG_KEYS[name])
+            )
     for name in ("signal", "scenario"):
         if name not in parser:
             raise DomainError(f"config must have a [{name}] section")
@@ -155,7 +180,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         trials=int(sc.get("trials", "10000")),
         injection=injection,
     )
-    validate_scenario(scenario)
     analysis_eps = 0.1
     if "analysis" in parser:
         analysis_eps = _get_float(parser["analysis"], "embedding_eps", 0.1)

@@ -209,40 +209,14 @@ class Scenario:
 
 
 def validate_scenario(scenario: Scenario) -> Scenario:
-    """Check all cross-field constraints and return the validated scenario.
+    """Check that `scenario` is a Scenario and return it unchanged.
 
-    Construction already validates each field, so this re-runs the checks on
-    an instance that may have been built through other means and returns the
-    same object; the call is idempotent.
+    Every field is already validated when the frozen dataclasses are built,
+    and dataclasses.replace re-runs those checks, so a Scenario instance is
+    valid by construction; the call is idempotent.
     """
     if not isinstance(scenario, Scenario):
         raise DimensionError("validate_scenario expects a Scenario instance")
-    # re-run every dataclass check against current field values
-    SignalModel(
-        scenario.model.ambient_dim,
-        scenario.model.mean,
-        scenario.model.signal_variance,
-        scenario.model.noise_variance,
-    )
-    if scenario.injection is not None:
-        InjectionPolicy(
-            scenario.injection.fraction,
-            scenario.injection.p10,
-            scenario.injection.p20,
-            scenario.injection.p11,
-            scenario.injection.p21,
-            scenario.injection.kappa,
-            scenario.injection.art_variance,
-        )
-    Scenario(
-        scenario.model,
-        scenario.compressed_dim,
-        scenario.num_nodes,
-        scenario.priors,
-        scenario.seed,
-        scenario.trials,
-        scenario.injection,
-    )
     return scenario
 
 

@@ -1,18 +1,25 @@
 """Closed-form performance expressions against independent oracles.
 
-Chi-squared machinery is cross-checked against scipy.stats (chi2, ncx2), the
-Q-function against scipy.stats.norm, and the headline operating points
-against frozen values computed by direct arithmetic on the defining formulas.
+Chi-squared machinery is cross-checked against scipy.stats (chi2, ncx2) and,
+for the noncentral tails that ccdet itself takes from scipy, against a
+50-digit mpmath Poisson mixture; the Q-function against scipy.stats.norm, and
+the headline operating points against frozen values computed by direct
+arithmetic on the defining formulas.
 """
 
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
 
+import ccdet
 from ccdet import (
     ChiSquareSpec,
     DomainError,
@@ -168,8 +175,8 @@ def test_chi2_tails_match_scipy():
 
 
 def test_ncx2_tails_match_scipy():
-    # the series truncates at 1e-12 remaining mixture weight, which bounds
-    # the absolute (not relative) tail error
+    # both tails come from scipy.stats.ncx2 for nc > 0, so this pins the
+    # argument passing; test_ncx2_tails_match_mpmath is the independent check
     for dof in (2, 10, 100):
         for nc in (0.5, 5.0, 100.0):
             mean = dof + nc
@@ -180,6 +187,83 @@ def test_ncx2_tails_match_scipy():
                 assert ncx2_cdf(x, dof, nc) == pytest.approx(
                     stats.ncx2.cdf(x, dof, nc), rel=1e-9, abs=5e-12
                 )
+
+
+def _mpmath_ncx2_tails(x: float, dof: float, nc: float) -> tuple[float, float]:
+    """(sf, cdf) of the noncentral chi-squared law at 50 digits.
+
+    Poisson(nc/2) mixture of central tails Q(dof/2 + j, x/2) and
+    P(dof/2 + j, x/2), summed over j within 40 sqrt(nc/2) + 40 of the Poisson
+    mode; the Poisson mass left out is below 1e-240 at the points tested.
+    Only the first term of each sum calls mpmath.gammainc. The Poisson weights
+    and the incomplete-gamma increments y^a e^-y / Gamma(a + 1) then follow
+    their exact recurrences, upward for Q and downward for P, so every step
+    adds a positive term.
+    """
+    with mpmath.workdps(50):
+        y, h, k = mpmath.mpf(x) / 2, mpmath.mpf(nc) / 2, mpmath.mpf(dof) / 2
+        spread = 40 * int(mpmath.sqrt(h)) + 40
+        j0, j1 = max(0, int(h) - spread), int(h) + spread
+
+        def weight(j):
+            return mpmath.exp(j * mpmath.log(h) - h - mpmath.loggamma(j + 1))
+
+        def increment(a):
+            return mpmath.exp(a * mpmath.log(y) - y - mpmath.loggamma(a + 1))
+
+        w, d, sf = weight(j0), increment(k + j0), 0
+        q = mpmath.gammainc(k + j0, y, mpmath.inf, regularized=True)
+        for j in range(j0, j1 + 1):
+            sf += w * q
+            q += d
+            w *= h / (j + 1)
+            d *= y / (k + j + 1)
+        w, d, cdf = weight(j1), increment(k + j1 - 1), 0
+        p = mpmath.gammainc(k + j1, 0, y, regularized=True)
+        for j in range(j1, j0 - 1, -1):
+            cdf += w * p
+            p += d
+            w *= j / h
+            d *= (k + j - 1) / y
+        return float(sf), float(cdf)
+
+
+@pytest.mark.parametrize(
+    "x, dof, nc, sf_ref, cdf_ref",
+    [
+        # far upper tail, 1e-76
+        (2502.5, 1, 1000.0, 6.3049047e-76, 1.0),
+        # far lower tail, 1e-81
+        (220.0, 100, 1000.0, 1.0, 4.8750212e-81),
+        # noncentrality 4e4, the centre of the law
+        (40010.0, 10, 4e4, 0.49900275, 0.50099725),
+    ],
+)
+def test_ncx2_tails_match_mpmath(x, dof, nc, sf_ref, cdf_ref):
+    # abs=0: pytest.approx would otherwise accept anything within 1e-12
+    sf, cdf = _mpmath_ncx2_tails(x, dof, nc)
+    assert sf == pytest.approx(sf_ref, rel=1e-7, abs=0)
+    assert cdf == pytest.approx(cdf_ref, rel=1e-7, abs=0)
+    assert ncx2_sf(x, dof, nc) == pytest.approx(sf, rel=1e-10, abs=0)
+    assert ncx2_cdf(x, dof, nc) == pytest.approx(cdf, rel=1e-10, abs=0)
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats is loaded only by a noncentral ncx2_* call; see analytics
+    src = str(Path(ccdet.__file__).resolve().parents[1])
+    code = (
+        f"import sys\nsys.path.insert(0, {src!r})\n"
+        "import ccdet, ccdet.cli\n"
+        "assert 'scipy.stats' not in sys.modules, 'import'\n"
+        "assert ccdet.ncx2_sf(3.0, 4, 0.0) == ccdet.chi2_sf(3.0, 4)\n"
+        "assert 'scipy.stats' not in sys.modules, 'zero noncentrality'\n"
+        "ccdet.ncx2_sf(3.0, 4, 1.0)\n"
+        "assert 'scipy.stats' in sys.modules, 'noncentral'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_ncx2_zero_noncentrality_reduces_to_central():
@@ -260,6 +344,19 @@ def test_random_thresholds_prior_shift():
     skewed, _ = random_thresholds(model, 10, 4, 0.3, priors=(0.9, 0.1))
     shift = (1.0 + 20.0) * 2.0 * math.log(9.0)
     assert skewed - equal == pytest.approx(shift, rel=1e-12)
+
+
+@pytest.mark.parametrize("priors", [(1.0, 0.0), (0.0, 1.0)])
+def test_pe_random_exact_degenerate_priors_pick_the_certain_hypothesis(priors):
+    # no finite threshold exists, so random_thresholds refuses; the exact
+    # error follows the test that always decides the hypothesis of prior one
+    model = _random_model()
+    with pytest.raises(DomainError):
+        random_thresholds(model, 10, 4, 0.3, priors=priors)
+    exact = pe_random_exact(model, 10, 4, 0.3, priors=priors)
+    rate = 0.0 if priors == (1.0, 0.0) else 1.0
+    assert (exact.pe, exact.pf, exact.pd) == (0.0, rate, rate)
+    assert exact.threshold == exact.threshold_transformed == (math.inf if rate == 0.0 else -math.inf)
 
 
 def test_random_thresholds_transformed_consistent_with_energy():

@@ -4,8 +4,11 @@ statuses, and byte-level determinism of the written files."""
 from __future__ import annotations
 
 import csv
+import math
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +122,40 @@ def test_load_config_optional_sections(tmp_path):
     assert config.design["c_max"] == "0.5"
 
 
+def test_load_config_rejects_unknown_keys_and_sections(tmp_path, capsys):
+    out = tmp_path / "x.txt"
+    # the Scenario field name, not the config keys prior_h0 / prior_h1
+    misspelt = _write(
+        tmp_path, "key.ini", RANDOM_INI.replace("seed = 11", "seed = 11\npriors = 0.3, 0.7")
+    )
+    assert main(["analyze", "--config", str(misspelt), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'priors'" in err and "[scenario]" in err and "prior_h0, prior_h1" in err
+    section = _write(tmp_path, "section.ini", RANDOM_INI + "\n[injections]\nfraction = 0.3\n")
+    assert main(["analyze", "--config", str(section), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "[injections]" in err and "[injection]" in err
+    default = _write(tmp_path, "default.ini", "[DEFAULT]\nseed = 3\n\n" + RANDOM_INI)
+    assert main(["analyze", "--config", str(default), "--out", str(out)]) == 2
+    assert "[DEFAULT]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+    config = _write(tmp_path, "readme.ini", block)
+    scenario = load_config(config).scenario
+    assert (scenario.model.ambient_dim, scenario.compressed_dim, scenario.num_nodes) == (100, 20, 5)
+    assert scenario.trials == 20000 and scenario.injection.kappa == 2.381
+    report = tmp_path / "report.txt"
+    assert main(["analyze", "--config", str(config), "--out", str(report)]) == 0
+    assert _read_report(report)["case"] == "injection"
+    solution = tmp_path / "design.txt"
+    assert main(["design", "--config", str(config), "--out", str(solution)]) == 0
+    assert _read_report(solution)["regime"] == "perfect"
+
+
 def _read_report(path):
     pairs = {}
     for line in path.read_text().strip().splitlines():
@@ -160,6 +197,21 @@ def test_analyze_random_report(tmp_path):
         float(report["pe_approx"]), abs=0.05
     )
     assert float(report["threshold_transformed"]) > float(report["threshold_raw"])
+
+
+def test_analyze_random_report_at_large_noncentrality(tmp_path):
+    # H0 noncentrality about 6e4: the exact tails still come out finite
+    text = RANDOM_INI.replace("ambient_dim = 30", "ambient_dim = 100").replace(
+        "mean = zeros", "mean = constant:1"
+    ).replace("noise_variance = 5", "noise_variance = 20").replace(
+        "compressed_dim = 15", "compressed_dim = 50"
+    ).replace("num_nodes = 6", "num_nodes = 50")
+    config = _write(tmp_path, "exp.ini", text)
+    out = tmp_path / "report.txt"
+    assert main(["analyze", "--config", str(config), "--out", str(out), "--seed", "5"]) == 0
+    pe_exact = float(_read_report(out)["pe_exact"])
+    assert math.isfinite(pe_exact)
+    assert pe_exact == pytest.approx(5.736e-10, rel=1e-3)
 
 
 def test_analyze_injection_report(tmp_path):
@@ -249,6 +301,23 @@ def test_simulate_trials_and_seed_overrides(tmp_path):
         rows = list(csv.reader(handle))
     assert rows[1][0] == "300"
     assert rows[1][-1] == "99"
+
+
+@pytest.mark.parametrize("prior_h0, rate", [("1", "0.0"), ("0", "1.0")])
+def test_simulate_random_degenerate_priors(tmp_path, prior_h0, rate):
+    # the certain hypothesis is always decided, in the simulation and in theory
+    prior_h1 = "0" if prior_h0 == "1" else "1"
+    text = RANDOM_INI.replace(
+        "seed = 11", f"seed = 11\nprior_h0 = {prior_h0}\nprior_h1 = {prior_h1}"
+    )
+    config = _write(tmp_path, "exp.ini", text)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        header, row = list(csv.reader(handle))
+    values = dict(zip(header, row))
+    assert (values["pf_fc"], values["pd_fc"]) == (rate, rate)
+    assert values["pe_fc_emp"] == values["pe_fc_theory"] == "0.0"
 
 
 def test_simulate_injection_populates_eavesdropper_columns(tmp_path):
