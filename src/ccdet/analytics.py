@@ -52,28 +52,29 @@ def q_inverse(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def pe_deterministic_exact(projector_energy: float, beta_inv: float, n: int) -> float:
-    """Exact equal-priors error probability for a deterministic signal.
+def pe_deterministic_exact(
+    projector_energy: float, beta_inv: float, n: int, priors: tuple[float, float] = (0.5, 0.5)
+) -> float:
+    """Exact Bayes error probability for a deterministic signal.
 
-    The fused statistic is Gaussian with the same variance under both
-    hypotheses and mean separation n times the projected signal energy, so
-    P_E = Q(0.5 sqrt(n * projector_energy / beta_inv)).
+    The fused log-likelihood ratio is N(-d^2/2, d^2) under H0 and N(d^2/2, d^2)
+    under H1, d^2 the deterministic_deflection, and H1 is decided above
+    eta = ln(p0/p1): P_E = p0 Q(d/2 + eta/d) + p1 Q(d/2 - eta/d), Q(d/2) at
+    equal priors. At d = 0, or with a zero prior, the test always picks the
+    likelier hypothesis (H0 on a tie) and P_E = min(p0, p1).
     """
-    projector_energy = float(projector_energy)
-    beta_inv = float(beta_inv)
-    if projector_energy < 0.0:
-        raise DomainError("projector_energy must be nonnegative")
-    if beta_inv <= 0.0:
-        raise DomainError("beta_inv must be strictly positive")
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    return q_function(0.5 * math.sqrt(n * projector_energy / beta_inv))
+    d = math.sqrt(deterministic_deflection(projector_energy, beta_inv, n))
+    p0, p1 = (float(priors[0]), float(priors[1]))
+    if d == 0.0 or p0 == 0.0 or p1 == 0.0:
+        return min(p0, p1)
+    eta = math.log(p0 / p1)
+    return p0 * q_function(0.5 * d + eta / d) + p1 * q_function(0.5 * d - eta / d)
 
 
 def deterministic_deflection(projector_energy: float, beta_inv: float, n: int) -> float:
     """Variance-normalized squared distance between the two statistic centers,
-    D = n * projector_energy / beta_inv; pe_deterministic_exact equals
-    Q(sqrt(D)/2)."""
+    D = n * projector_energy / beta_inv; at equal priors
+    pe_deterministic_exact equals Q(sqrt(D)/2)."""
     projector_energy = float(projector_energy)
     beta_inv = float(beta_inv)
     if projector_energy < 0.0:

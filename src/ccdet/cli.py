@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -263,10 +262,13 @@ def _analyze_pairs(config: ExperimentConfig) -> list[tuple[str, object]]:
         deflection = analytics.deterministic_deflection(
             energy, model.noise_variance, n
         )
+        pe_exact = analytics.pe_deterministic_exact(
+            energy, model.noise_variance, n, scenario.priors
+        )
         pairs += [
             ("snr", snr),
             ("projected_energy", energy),
-            ("pe_exact", analytics.pe_deterministic_exact(energy, model.noise_variance, n)),
+            ("pe_exact", pe_exact),
             ("pe_approx", analytics.pe_deterministic_approx(c, n, snr)),
             ("embedding_eps", config.analysis_eps),
             ("pe_lower", lower),
@@ -389,8 +391,7 @@ def cmd_design(config: ExperimentConfig, out: str, mode: str | None) -> int:
     else:
         if "tau" not in design:
             raise DomainError("constrained mode needs tau in the [design] section")
-        tau_text = str(design["tau"]).strip()
-        tau = math.inf if tau_text in ("inf", "infinity") else float(tau_text)
+        tau = float(design["tau"])
         grids = {
             "c": _design_grid(design, "c_grid"),
             "fraction": _design_grid(design, "fraction_grid"),
@@ -620,9 +621,7 @@ def main(argv: list[str] | None = None) -> int:
                     config, scenario=replace(config.scenario, trials=args.trials)
                 )
             return cmd_simulate(config, args.out)
-        if args.command == "design":
-            return cmd_design(config, args.out, args.mode)
-        raise DomainError(f"unknown command {args.command!r}")
+        return cmd_design(config, args.out, args.mode)
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,13 +1,13 @@
 """Per-node observation densities and the likelihood-ratio tests of the
 fusion center and the eavesdropper.
 
-Every covariance in the model is a scalar times G = phi phi^T, so after
-whitening a compressed observation y by L^-1 (L L^T = G) each node's density
-is an isotropic Gaussian mixture whose component means all lie on the one
-direction u = L^-1 phi mu. A density then depends on y only through two
-numbers: the projection y^T G^-1 phi mu = z^T u and the whitened energy
-||z||^2, and the energy cancels from a likelihood ratio whose two hypotheses
-share a variance (a deterministic signal).
+Every covariance in the model is a scalar times G = phi phi^T, so in the
+whitened coordinates z = L^-1 y (L L^T = G) of a compressed observation y each
+node's density is an isotropic Gaussian mixture whose component means all lie
+on the one direction u = L^-1 phi mu. The tests take observations in these
+coordinates: a density depends on z only through two numbers, the projection
+z^T u and the energy ||z||^2, and the energy cancels from a likelihood ratio
+whose two hypotheses share a variance (a deterministic signal).
 
 Without injection every node follows the clean pair of densities. Under
 artificial-noise injection each injecting node's observation follows a
@@ -36,9 +36,6 @@ from .model import Scenario
 from .projection import ProjectionOperator
 
 WEIGHT_SUM_TOL = 1e-12
-# whitened energies are formed this many values (4 MB) at a time, so scoring
-# never holds a second array the size of the whole stack of trials
-WHITEN_BLOCK = 2**19
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -129,8 +126,7 @@ class ScenarioMixtures:
     """Observation densities of one scenario under each hypothesis.
 
     Attributes:
-        op: The shared projection operator (whitens observations).
-        template: G^-1 phi mu, so a node's projection is y @ template.
+        direction: u = L^-1 phi mu, so a node's projection is z @ direction.
         threshold: log(P0/P1); a test decides H1 only above it.
         num_injecting: Injecting nodes, the first rows of every trial.
         clean: (H0, H1) single-component densities of a non-injecting node.
@@ -142,8 +138,7 @@ class ScenarioMixtures:
             where the eavesdropper's test coincides with the fusion center's.
     """
 
-    op: ProjectionOperator
-    template: np.ndarray
+    direction: np.ndarray
     threshold: float
     num_injecting: int
     clean: Pair
@@ -205,11 +200,10 @@ def build_mixtures(scenario: Scenario, op: ProjectionOperator) -> ScenarioMixtur
             [f * policy.p10, f * policy.p20, 1.0 - f * (policy.p10 + policy.p20)],
             [f * policy.p11, f * policy.p21, 1.0 - f * (policy.p11 + policy.p21)],
         )
-    template = op.gram_solve(op.compress(model.mean))
-    template.flags.writeable = False
+    direction = op.whitened @ model.mean
+    direction.flags.writeable = False
     return ScenarioMixtures(
-        op=op,
-        template=template,
+        direction=direction,
         threshold=_prior_log_ratio(scenario.priors),
         num_injecting=scenario.num_injecting,
         clean=clean,
@@ -219,26 +213,23 @@ def build_mixtures(scenario: Scenario, op: ProjectionOperator) -> ScenarioMixtur
 
 
 def log_likelihood_ratios(
-    mixtures: ScenarioMixtures, ys: np.ndarray
+    mixtures: ScenarioMixtures, zs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Summed log-likelihood ratios of a (T, N, M) stack of trials, one per
-    trial for the fusion center and for the eavesdropper (None without
-    injection). A test decides H1 when its ratio exceeds mixtures.threshold.
+    """Summed log-likelihood ratios of a (T, N, M) stack of whitened trials,
+    one per trial for the fusion center and for the eavesdropper (None
+    without injection). A test decides H1 when its ratio exceeds
+    mixtures.threshold.
     """
-    ys = np.asarray(ys, dtype=float)
-    m = mixtures.op.compressed_dim
-    if ys.ndim != 3 or ys.shape[2] != m:
-        raise DimensionError(f"expected a (T, N, {m}) stack of trials, got {ys.shape}")
-    proj = ys @ mixtures.template
+    zs = np.asarray(zs, dtype=float)
+    m = mixtures.direction.shape[0]
+    if zs.ndim != 3 or zs.shape[2] != m:
+        raise DimensionError(f"expected a (T, N, {m}) stack of trials, got {zs.shape}")
+    proj = zs @ mixtures.direction
     # the energy terms cancel unless the hypotheses' variances differ, which
     # holds for every pair at once (signal_variance > 0)
     sq_norm = 0.0
     if mixtures.clean[0].variance != mixtures.clean[1].variance:
-        sq_norm = np.empty(proj.shape)
-        step = max(1, WHITEN_BLOCK // (ys.shape[1] * m))
-        for lo in range(0, ys.shape[0], step):
-            z = mixtures.op.whiten(ys[lo : lo + step])
-            np.einsum("tnm,tnm->tn", z, z, out=sq_norm[lo : lo + step])
+        sq_norm = np.einsum("tnm,tnm->tn", zs, zs)
 
     def summed(pair: Pair, nodes: slice) -> np.ndarray:
         energy = sq_norm[:, nodes] if np.ndim(sq_norm) else sq_norm

@@ -1,6 +1,8 @@
 """Monte Carlo error estimation for the full sensing network.
 
-Every chunk of trials is scored in one call to the likelihood-ratio test of
+Trials are drawn in whitened coordinates, z = W u with the operator's
+W = L^-1 phi, chunk by chunk into one reused buffer (see CHUNK_VALUES), and
+every chunk is scored in one call to the likelihood-ratio test of
 :mod:`ccdet.detection`, the same test for the fusion center and the
 eavesdropper and for every signal kind.
 
@@ -38,6 +40,8 @@ from .projection import ProjectionOperator, gen_projection
 PHI_STREAM_BASE = 2**62
 BATCH_MASTER_BASE = 2**61
 POINT_MASTER_BASE = 2**60
+# a chunk holds max(1, CHUNK_VALUES // (N * M)) trials, about 4 MB of draws
+CHUNK_VALUES = 2**19
 
 # 95% normal quantile for Wald intervals
 _WALD_Z = 1.959963984540054
@@ -93,7 +97,7 @@ def _draw_trial_ys(
     hypothesis: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw one trial's compressed observations, shape (N, M).
+    """Draw one trial's whitened compressed observations, shape (N, M).
 
     Draw order within the trial generator is fixed: sensing noise (N, P);
     under H1 the per-node signal (N, P) when signal_variance > 0; injection
@@ -110,7 +114,7 @@ def _draw_trial_ys(
             )
         else:
             u = u + model.mean
-    ys = u @ op.phi.T
+    zs = u @ op.whitened.T
     policy = scenario.injection
     b = scenario.num_injecting
     if policy is not None and b > 0:
@@ -119,16 +123,16 @@ def _draw_trial_ys(
             w = policy.kappa * model.mean + rng.standard_normal((b, p)) * math.sqrt(
                 policy.art_variance
             )
-            yw = w @ op.phi.T
+            zw = w @ op.whitened.T
         else:
-            yw = np.broadcast_to(policy.kappa * (model.mean @ op.phi.T), (b, op.compressed_dim))
+            zw = policy.kappa * (model.mean @ op.whitened.T)
         if hypothesis == "H1":
             p_add, p_sub = policy.p11, policy.p21
         else:
             p_add, p_sub = policy.p10, policy.p20
         signs = np.where(coins < p_add, 1.0, np.where(coins < p_add + p_sub, -1.0, 0.0))
-        ys[:b] += signs[:, None] * yw
-    return ys
+        zs[:b] += signs[:, None] * zw
+    return zs
 
 
 def _check_hypothesis(hypothesis: str) -> str:
@@ -164,21 +168,21 @@ def _accumulate(
     op: ProjectionOperator,
     trials: int,
     counts: _Counts,
-    chunk_size: int,
 ) -> None:
     mixtures = build_mixtures(scenario, op)
     n_h0 = (trials + 1) // 2
     spans = (("H0", 0, n_h0), ("H1", n_h0, trials))
     n = scenario.num_nodes
     m = scenario.compressed_dim
+    chunk = min(max(1, CHUNK_VALUES // (n * m)), n_h0)
+    buffer = np.empty((chunk, n, m))
     for hypothesis, start, stop in spans:
-        for lo in range(start, stop, chunk_size):
-            hi = min(lo + chunk_size, stop)
-            ys = np.empty((hi - lo, n, m))
-            for k, t_index in enumerate(range(lo, hi)):
-                gen = trial_stream(scenario.seed, t_index)
-                ys[k] = _draw_trial_ys(scenario, op, hypothesis, gen)
-            fc, eve = log_likelihood_ratios(mixtures, ys)
+        for lo in range(start, stop, chunk):
+            zs = buffer[: min(chunk, stop - lo)]
+            for k in range(zs.shape[0]):
+                gen = trial_stream(scenario.seed, lo + k)
+                zs[k] = _draw_trial_ys(scenario, op, hypothesis, gen)
+            fc, eve = log_likelihood_ratios(mixtures, zs)
             positives = int((fc > mixtures.threshold).sum())
             if hypothesis == "H0":
                 counts.fc_fa += positives
@@ -231,12 +235,11 @@ def estimate_errors(
     scenario: Scenario,
     op: ProjectionOperator,
     trials: int,
-    chunk_size: int = 1024,
 ) -> MonteCarloResult:
     """Estimate error probabilities over the given trial budget.
 
     Trials are split evenly across hypotheses and each trial draws from the
-    substream keyed by its index, so estimates are independent of chunk_size
+    substream keyed by its index, so estimates are independent of chunking
     and reproducible from the scenario seed alone.
     """
     validate_scenario(scenario)
@@ -244,11 +247,9 @@ def estimate_errors(
     trials = int(trials)
     if trials < 100:
         raise DomainError("estimate_errors needs at least 100 trials")
-    if chunk_size < 1:
-        raise DomainError("chunk_size must be positive")
     start = time.perf_counter()
     counts = _Counts()
-    _accumulate(scenario, op, trials, counts, chunk_size)
+    _accumulate(scenario, op, trials, counts)
     return _result_from_counts(scenario, counts, time.perf_counter() - start)
 
 
@@ -256,7 +257,6 @@ def estimate_errors_fresh_phi(
     scenario: Scenario,
     trials: int,
     batches: int,
-    chunk_size: int = 1024,
 ) -> MonteCarloResult:
     """Estimate errors with a fresh projection drawn for every batch.
 
@@ -286,7 +286,7 @@ def estimate_errors_fresh_phi(
         master = RngContract(scenario.seed, BATCH_MASTER_BASE + b).derive_master()
         batch_scenario = replace(scenario, seed=master)
         batch_op = gen_projection(m, p, RngContract(master, PHI_STREAM_BASE))
-        _accumulate(batch_scenario, batch_op, per_batch, counts, chunk_size)
+        _accumulate(batch_scenario, batch_op, per_batch, counts)
     return _result_from_counts(scenario, counts, time.perf_counter() - start)
 
 
@@ -400,7 +400,7 @@ def closed_form_columns(
     energy = op.projector_energy(model.mean)
     if model.is_deterministic:
         theory = analytics.pe_deterministic_exact(
-            energy, model.noise_variance, scenario.num_nodes
+            energy, model.noise_variance, scenario.num_nodes, scenario.priors
         )
     else:
         theory = analytics.pe_random_exact(

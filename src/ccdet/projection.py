@@ -34,11 +34,14 @@ class ProjectionOperator:
         phi: The M x P compression matrix.
         gram: phi phi^T, symmetric positive definite.
         gram_cholesky: Lower-triangular Cholesky factor L with L L^T = gram.
+        whitened: W = L^-1 phi, with orthonormal rows; W u is the whitened
+            compression L^-1 phi u that the Monte Carlo engine draws.
     """
 
     phi: np.ndarray
     gram: np.ndarray
     gram_cholesky: np.ndarray
+    whitened: np.ndarray
 
     @property
     def compressed_dim(self) -> int:
@@ -110,9 +113,10 @@ def operator_from_matrix(phi: np.ndarray) -> ProjectionOperator:
     diag = np.diag(chol)
     if diag.min() <= 0.0 or (diag.max() / diag.min()) ** 2 > MAX_GRAM_CONDITION:
         raise RankError("phi Gram matrix condition number exceeds the bound")
-    for arr in (phi, gram, chol):
+    whitened = solve_triangular(chol, phi, lower=True)
+    for arr in (phi, gram, chol, whitened):
         arr.flags.writeable = False
-    return ProjectionOperator(phi=phi, gram=gram, gram_cholesky=chol)
+    return ProjectionOperator(phi=phi, gram=gram, gram_cholesky=chol, whitened=whitened)
 
 
 def gen_projection(m: int, p: int, rng: RngContract) -> ProjectionOperator:

@@ -96,6 +96,35 @@ def test_pe_deterministic_exact_reference_point():
         pe_deterministic_exact(0.4, 0.0, 5)
 
 
+def test_pe_deterministic_exact_with_priors_matches_norm_oracle():
+    # the fused log-likelihood ratio is N(-D/2, D) under H0 and N(D/2, D)
+    # under H1; the Bayes test decides H1 above ln(p0/p1)
+    for energy, beta_inv, n in ((0.4, 1.0, 5), (0.05, 2.0, 3), (1.7, 0.6, 12)):
+        deflection = n * energy / beta_inv
+        scale = math.sqrt(deflection)
+        for p0 in (0.5, 0.7, 0.9, 0.1, 0.999):
+            p1 = 1.0 - p0
+            eta = math.log(p0 / p1)
+            pf = stats.norm.sf(eta, loc=-0.5 * deflection, scale=scale)
+            pm = stats.norm.cdf(eta, loc=0.5 * deflection, scale=scale)
+            expected = p0 * pf + p1 * pm
+            got = pe_deterministic_exact(energy, beta_inv, n, (p0, p1))
+            assert got == pytest.approx(expected, rel=1e-12)
+            # Bayes-optimal: no worse than the threshold 0, whose false-alarm
+            # and miss probabilities are both Q(d/2)
+            assert got <= q_function(0.5 * scale) * (1.0 + 1e-12)
+    # equal priors are exactly the Q(d/2) form
+    assert pe_deterministic_exact(0.4, 1.0, 5, (0.5, 0.5)) == pe_deterministic_exact(0.4, 1.0, 5)
+    assert pe_deterministic_exact(0.4, 1.0, 5) == q_function(0.5 * math.sqrt(2.0))
+    # no signal: always the likelier hypothesis; a zero prior: no error
+    assert pe_deterministic_exact(0.0, 1.0, 5, (0.8, 0.2)) == 0.2
+    assert pe_deterministic_exact(0.0, 1.0, 5, (0.3, 0.7)) == 0.3
+    assert pe_deterministic_exact(0.4, 1.0, 5, (1.0, 0.0)) == 0.0
+    assert pe_deterministic_exact(0.4, 1.0, 5, (0.0, 1.0)) == 0.0
+    with pytest.raises(DomainError):
+        pe_deterministic_exact(-0.1, 1.0, 5, (0.9, 0.1))
+
+
 def test_pe_deterministic_approx_consistency():
     # the approximation replaces realized energy by c * ||s||^2
     assert pe_deterministic_approx(0.2, 5, 2.0) == pytest.approx(

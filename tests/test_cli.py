@@ -4,10 +4,12 @@ statuses, and byte-level determinism of the written files."""
 from __future__ import annotations
 
 import csv
+import importlib
 import math
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -239,6 +241,27 @@ def test_analyze_reruns_are_byte_identical(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_simulate_deterministic_theory_uses_the_priors(tmp_path):
+    # with priors 0.9/0.1 the Bayes test moves its threshold, and the
+    # closed-form column must follow it: the equal-priors formula sits far
+    # outside the estimate's Wald interval
+    text = DETERMINISTIC_INI.replace(
+        "trials = 200", "trials = 20000\nprior_h0 = 0.9\nprior_h1 = 0.1"
+    )
+    config = _write(tmp_path, "exp.ini", text)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--seed", "1"]) == 0
+    with open(out, newline="") as handle:
+        row = next(csv.DictReader(handle))
+    pe_emp = float(row["pe_fc_emp"])
+    pe_theory = float(row["pe_fc_theory"])
+    standard_error = math.sqrt(pe_emp * (1.0 - pe_emp) / 20000)
+    assert abs(pe_theory - pe_emp) < 4.0 * standard_error
+    report = tmp_path / "report.txt"
+    assert main(["analyze", "--config", str(config), "--out", str(report), "--seed", "1"]) == 0
+    assert float(_read_report(report)["pe_exact"]) == pe_theory
+
+
 def test_simulate_writes_single_row_csv(tmp_path, capsys):
     config = _write(tmp_path, "exp.ini", DETERMINISTIC_INI)
     out = tmp_path / "sim.csv"
@@ -365,6 +388,25 @@ def test_design_constrained_mode_and_infeasible(tmp_path):
     assert main(["design", "--config", str(config_bad), "--out", str(out)]) == 3
 
 
+def test_design_unbounded_tau_spellings_agree(tmp_path):
+    # tau is read with float(), which takes inf and Infinity in any case and
+    # with surrounding spaces; an unbounded budget picks the same design as
+    # a finite budget no design reaches
+    grids = (
+        "c_grid = 0.2,0.5\nfraction_grid = 0.25,0.5\n"
+        "kappa_grid = 0.0,1.0,2.5\ngamma_inv_grid = 0.0,1.0\n"
+    )
+    solutions = []
+    for tau in ("inf", "Infinity", " INF ", "1e300"):
+        text = INJECTION_INI + f"\n[design]\nmode = constrained\ntau = {tau}\n" + grids
+        config = _write(tmp_path, "exp.ini", text)
+        out = tmp_path / "design.txt"
+        assert main(["design", "--config", str(config), "--out", str(out)]) == 0
+        solutions.append(out.read_bytes())
+    assert solutions[0] != b""
+    assert all(solution == solutions[0] for solution in solutions)
+
+
 def test_design_mode_flag_overrides_config(tmp_path):
     text = INJECTION_INI + (
         "\n[design]\nmode = constrained\ntau = 0.05\n"
@@ -469,6 +511,20 @@ def test_exit_status_numeric_errors(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("ccdet.cli.estimate_errors", explode)
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 4
     assert "rank deficient" in capsys.readouterr().err
+
+
+def test_console_script_target_runs(monkeypatch, capsys):
+    # resolve the [project.scripts] entry the installer would wrap and run it
+    # as the wrapper does: no arguments, the command line in sys.argv
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"ccdet": "ccdet.cli:main"}
+    module_name, attr = scripts["ccdet"].split(":")
+    entry = getattr(importlib.import_module(module_name), attr)
+    monkeypatch.setattr(sys, "argv", ["ccdet", "figure", "--figure", "2", "--describe"])
+    assert entry() == 0
+    assert "figure 2" in capsys.readouterr().out
 
 
 def test_console_script_entry_point():

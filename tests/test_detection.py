@@ -6,9 +6,9 @@ compressed coordinates and scipy.special.logsumexp the mixture combination;
 one extended-precision check goes through mpmath. Projections and whitened
 energies are formed with dense numpy.linalg algebra, independently of the
 operator's cached factorization. Each test of the fusion-center and
-eavesdropper statistics compares the summed log-likelihood ratio with these
-densities evaluated directly, which pins the tests to the underlying
-likelihood-ratio tests.
+eavesdropper statistics draws compressed observations y, evaluates these
+densities on y directly and passes the tests their whitened form
+op.whiten(y), which pins the tests to the underlying likelihood-ratio tests.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from ccdet import detection
 from ccdet import (
     DimensionError,
     DomainError,
@@ -224,7 +223,7 @@ def test_fc_statistic_deterministic_matches_brute_force():
     s = rng.standard_normal(9)
     ys = rng.standard_normal((2, 5, 4))
     mixtures = build_mixtures(_deterministic_scenario(op, s, 5, 1.3), op)
-    fc, _ = log_likelihood_ratios(mixtures, ys)
+    fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys))
     template = np.linalg.solve(op.gram, op.phi @ s)
     energy = _brute_energy(op, s)
     for t in range(2):
@@ -271,7 +270,7 @@ def test_deterministic_verdict_equals_density_ratio_test():
                 stats.multivariate_normal.logpdf(ys, mean1, cov).sum()
                 - stats.multivariate_normal.logpdf(ys, np.zeros(3), cov).sum()
             )
-            fc, _ = log_likelihood_ratios(mixtures, ys[None])
+            fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys)[None])
             assert fc[0] == pytest.approx(llr, rel=1e-8, abs=1e-9)
             assert (fc[0] > mixtures.threshold) == (llr > log_prior)
 
@@ -291,7 +290,7 @@ def test_fc_statistic_random_matches_brute_force():
     model = _random_model()
     scenario = Scenario(model=model, compressed_dim=3, num_nodes=5)
     ys = np.random.default_rng(10).standard_normal((3, 5, 3))
-    fc, eve = log_likelihood_ratios(build_mixtures(scenario, op), ys)
+    fc, eve = log_likelihood_ratios(build_mixtures(scenario, op), op.whiten(ys))
     assert eve is None
     gram_inv = np.linalg.inv(op.gram)
     proj_mean = op.phi @ model.mean
@@ -344,21 +343,9 @@ def test_random_verdict_equals_density_ratio_test():
                 stats.multivariate_normal.logpdf(ys, mean1, cov1).sum()
                 - stats.multivariate_normal.logpdf(ys, np.zeros(3), cov0).sum()
             )
-            fc, _ = log_likelihood_ratios(mixtures, ys[None])
+            fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys)[None])
             assert fc[0] == pytest.approx(llr, rel=1e-9, abs=1e-10)
             assert (fc[0] > mixtures.threshold) == (llr > log_prior)
-
-
-def test_whitened_energy_does_not_depend_on_block_size(monkeypatch):
-    op = gen_projection(3, 8, RngContract(14, 2**62))
-    scenario = Scenario(model=_random_model(), compressed_dim=3, num_nodes=4)
-    mixtures = build_mixtures(scenario, op)
-    ys = np.random.default_rng(15).standard_normal((50, 4, 3))
-    whole, _ = log_likelihood_ratios(mixtures, ys)
-    # 36 values are three trials: 16 full blocks and a remainder of two
-    monkeypatch.setattr(detection, "WHITEN_BLOCK", 36)
-    blocked, _ = log_likelihood_ratios(mixtures, ys)
-    assert np.array_equal(blocked, whole)
 
 
 def _injection_scenario(p=6, m=3, n=5, fraction=0.3, kappa=1.0, art_variance=0.4, priors=(0.5, 0.5)):
@@ -389,7 +376,10 @@ def test_build_mixtures_structure():
     model = scenario.model
     energy = _brute_energy(op, model.mean)
     assert mixtures.num_injecting == 2
-    assert np.allclose(mixtures.template, np.linalg.solve(op.gram, op.phi @ model.mean))
+    assert np.allclose(
+        mixtures.direction,
+        np.linalg.solve(np.linalg.cholesky(op.phi @ op.phi.T), op.phi @ model.mean),
+    )
 
     h0, h1 = mixtures.fc_byz
     assert np.allclose(h0.weights, [0.8, 0.1, 0.1])
@@ -450,7 +440,7 @@ def test_fc_decide_with_byzantines_matches_density_oracle():
     assert mixtures.threshold == pytest.approx(math.log(1.5), rel=1e-12)
     rng = np.random.default_rng(21)
     ys = rng.standard_normal((20, 5, 3)) * 2.0
-    fc, _ = log_likelihood_ratios(mixtures, ys)
+    fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys))
     for t in range(20):
         byz = _oracle_pair(ys[t, :2], mixtures.fc_byz, op, mean)
         clean1 = stats.multivariate_normal.logpdf(ys[t, 2:], op.phi @ mean, 1.8 * op.gram)
@@ -467,8 +457,9 @@ def test_fc_decide_flag_routing():
     mixtures = build_mixtures(scenario, op)
     assert mixtures.num_injecting == 1
     y_at_offset = (op.phi @ scenario.model.mean) * (1.0 + 3.0)
-    flagged, _ = log_likelihood_ratios(mixtures, np.stack([y_at_offset, np.zeros(3)])[None])
-    unflagged, _ = log_likelihood_ratios(mixtures, np.stack([np.zeros(3), y_at_offset])[None])
+    zs = op.whiten(np.stack([y_at_offset, np.zeros(3)])[None])
+    flagged, _ = log_likelihood_ratios(mixtures, zs)
+    unflagged, _ = log_likelihood_ratios(mixtures, zs[:, ::-1])
     assert flagged[0] != unflagged[0]
     mean = scenario.model.mean
     expected = _oracle_pair(y_at_offset, mixtures.fc_byz, op, mean)[0]
@@ -482,7 +473,7 @@ def test_eve_decide_matches_density_oracle():
     mixtures = build_mixtures(scenario, op)
     rng = np.random.default_rng(22)
     ys = rng.standard_normal((4, 5, 3)) * 1.5
-    _, eve = log_likelihood_ratios(mixtures, ys)
+    _, eve = log_likelihood_ratios(mixtures, op.whiten(ys))
     for t in range(4):
         expected = float(_oracle_pair(ys[t], mixtures.eve, op, scenario.model.mean).sum())
         assert eve[t] == pytest.approx(expected, rel=1e-9, abs=1e-10)

@@ -33,6 +33,7 @@ from ccdet import (
     trial_stream,
     write_sweep_csv,
 )
+from ccdet import montecarlo
 from ccdet import test_stat_distribution as statistic_laws
 from ccdet.montecarlo import (
     PHI_STREAM_BASE,
@@ -168,15 +169,16 @@ def _oracle_llrs(scenario: Scenario, ys: np.ndarray, op):
 
 def _replay_counts(scenario: Scenario, op, trials: int):
     """Replay the engine's trial schedule and decide each trial by the
-    scipy density ratio against log(P0/P1)."""
+    scipy density ratio against log(P0/P1), on the compressed observations
+    y = L z of the engine's whitened draws z."""
     p0, p1 = scenario.priors
     threshold = math.log(p0 / p1)
     n_h0 = (trials + 1) // 2
     counts = {"H0": [0, 0], "H1": [0, 0]}
     for t in range(trials):
         hypothesis = "H0" if t < n_h0 else "H1"
-        ys = _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
-        fc, eve = _oracle_llrs(scenario, ys, op)
+        zs = _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
+        fc, eve = _oracle_llrs(scenario, zs @ op.gram_cholesky.T, op)
         counts[hypothesis][0] += fc > threshold
         counts[hypothesis][1] += eve is not None and eve > threshold
     return n_h0, counts["H0"][0], counts["H1"][0], counts["H0"][1], counts["H1"][1]
@@ -192,7 +194,7 @@ def test_engine_agrees_with_scalar_path(make_scenario):
     scenario = make_scenario()
     op = _operator(scenario)
     trials = 120
-    result = estimate_errors(scenario, op, trials, chunk_size=32)
+    result = estimate_errors(scenario, op, trials)
     n_h0, fa, det, eve_fa, eve_det = _replay_counts(scenario, op, trials)
     n_h1 = trials - n_h0
     assert result.pf_fc == pytest.approx(fa / n_h0, abs=1e-15)
@@ -234,7 +236,7 @@ def test_pinned_verdict_counts(kind):
     scenario = _pinned_scenario(kind)
     op = _operator(scenario)
     counts = _Counts()
-    _accumulate(scenario, op, 2000, counts, 1024)
+    _accumulate(scenario, op, 2000, counts)
     got = (counts.n_h0, counts.n_h1, counts.fc_fa, counts.fc_det, counts.eve_fa, counts.eve_det)
     assert got == PINNED_COUNTS[kind]
     n_h0, n_h1, fa, det, eve_fa, eve_det = got
@@ -264,18 +266,24 @@ def test_degenerate_priors_decide_the_certain_hypothesis(make_scenario, priors):
         assert result.pe_ev == 0.0
 
 
-def test_estimate_errors_chunk_invariance():
-    scenario = _random_scenario(trials=250)
-    op = _operator(scenario)
-    small = estimate_errors(scenario, op, 250, chunk_size=7)
-    large = estimate_errors(scenario, op, 250, chunk_size=1024)
-    assert small.pe_fc == large.pe_fc
-    assert small.pf_fc == large.pf_fc
-    assert small.pd_fc == large.pd_fc
-    assert small.pe_fc_ci == large.pe_fc_ci
-    assert small.trials == large.trials == 250
-    assert small.seed == large.seed == scenario.seed
-    assert small.interval == "wald"
+def test_estimate_errors_chunk_invariance(monkeypatch):
+    # every trial draws from its own substream and is scored on its own, so
+    # results cannot depend on how many trials a chunk holds: one trial per
+    # chunk and seven per chunk (a remainder in both hypotheses' spans of
+    # 125) must give exactly the default's results
+    for make_scenario in (_deterministic_scenario, _random_scenario, _injection_scenario):
+        scenario = make_scenario()
+        op = _operator(scenario)
+        default = replace(estimate_errors(scenario, op, 250), wallclock=0.0)
+        assert default.trials == 250
+        assert default.seed == scenario.seed
+        assert default.interval == "wald"
+        values = scenario.num_nodes * scenario.compressed_dim
+        for per_chunk in (1, 7):
+            monkeypatch.setattr(montecarlo, "CHUNK_VALUES", per_chunk * values)
+            chunked = estimate_errors(scenario, op, 250)
+            assert replace(chunked, wallclock=0.0) == default
+        monkeypatch.undo()
 
 
 def test_estimate_errors_odd_split_gives_extra_null_trial():
@@ -292,8 +300,6 @@ def test_estimate_errors_validates_budget_and_op():
     op = _operator(scenario)
     with pytest.raises(DomainError):
         estimate_errors(scenario, op, 99)
-    with pytest.raises(DomainError):
-        estimate_errors(scenario, op, 200, chunk_size=0)
     wrong_op = gen_projection(8, 39, RngContract(0, PHI_STREAM_BASE))
     with pytest.raises(DimensionError):
         estimate_errors(scenario, wrong_op, 200)

@@ -64,12 +64,31 @@ def test_operator_from_matrix_caches_consistent_algebra():
         assert op.projector_energy(x) == pytest.approx(float(x @ projector @ x), rel=1e-10)
 
 
+def test_whitened_has_orthonormal_rows_and_factors_phi(tmp_path):
+    op = gen_projection(5, 12, RngContract(31, 2**62))
+    w = op.whitened
+    assert w.shape == (5, 12)
+    assert np.allclose(w @ w.T, np.eye(5), rtol=0, atol=1e-10)
+    assert np.allclose(op.gram_cholesky @ w, op.phi, rtol=1e-12, atol=1e-12)
+    # the independent reference: L^-1 phi with L from numpy's Cholesky
+    reference = np.linalg.solve(np.linalg.cholesky(op.phi @ op.phi.T), op.phi)
+    assert np.allclose(w, reference, rtol=1e-10, atol=1e-10)
+    # compressing with W is whitening the phi-compressed vector
+    u = np.random.default_rng(32).standard_normal((3, 12))
+    assert np.allclose(u @ w.T, op.whiten(op.compress(u)), rtol=1e-10, atol=1e-12)
+    path = tmp_path / "phi.txt"
+    save_operator(op, path)
+    loaded = load_operator(path)
+    assert np.array_equal(loaded.whitened, w)
+    assert not loaded.whitened.flags.writeable
+
+
 def test_operator_from_matrix_copies_and_freezes():
     phi = np.random.default_rng(3).standard_normal((3, 6))
     op = operator_from_matrix(phi)
     phi[0, 0] = 1e6
     assert op.phi[0, 0] != 1e6
-    for arr in (op.phi, op.gram, op.gram_cholesky):
+    for arr in (op.phi, op.gram, op.gram_cholesky, op.whitened):
         with pytest.raises(ValueError):
             arr[0, 0] = 0.0
 
