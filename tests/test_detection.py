@@ -348,6 +348,21 @@ def test_random_verdict_equals_density_ratio_test():
             assert (fc[0] > mixtures.threshold) == (llr > log_prior)
 
 
+def test_whitened_energy_does_not_depend_on_block_size():
+    # each trial is whitened and scored on its own, so a stack scored in
+    # blocks gives exactly the ratios of the whole stack
+    op = gen_projection(3, 8, RngContract(14, 2**62))
+    scenario = Scenario(model=_random_model(), compressed_dim=3, num_nodes=4)
+    mixtures = build_mixtures(scenario, op)
+    ys = np.random.default_rng(15).standard_normal((50, 4, 3))
+    whole, _ = log_likelihood_ratios(mixtures, op.whiten(ys))
+    # blocks of three trials: 16 full blocks and a remainder of two
+    blocked = np.concatenate(
+        [log_likelihood_ratios(mixtures, op.whiten(ys[t : t + 3]))[0] for t in range(0, 50, 3)]
+    )
+    assert np.array_equal(blocked, whole)
+
+
 def _injection_scenario(p=6, m=3, n=5, fraction=0.3, kappa=1.0, art_variance=0.4, priors=(0.5, 0.5)):
     model = SignalModel(
         ambient_dim=p,
