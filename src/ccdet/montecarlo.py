@@ -1,7 +1,7 @@
 """Monte Carlo error estimation for the full sensing network.
 
 Trials are drawn in whitened coordinates, z = W u with the operator's
-W = L^-1 phi, chunk by chunk into one reused buffer (see CHUNK_VALUES), and
+W = L^-1 phi, chunk by chunk into reused buffers (see CHUNK_VALUES), and
 every chunk is scored in one call to the likelihood-ratio test of
 :mod:`ccdet.detection`, the same test for the fusion center and the
 eavesdropper and for every signal kind.
@@ -12,7 +12,11 @@ chunking or evaluation order, and re-running with the same seed reproduces the
 same counts exactly. The trial budget is split evenly across hypotheses (the
 extra trial of an odd budget goes to the null); within a trial the draw order
 is fixed: sensing noise, then (under the alternative) the signal, then the
-injection coins, then the artificial-noise vectors.
+injection coins, then the artificial-noise vectors. The engine does not build
+a generator per trial: it re-seeds one PCG64 to each trial's substream state
+(:func:`ccdet.model.trial_streams`), which draws exactly the numbers of
+trial_stream(seed, t), so every count and every output byte is the same as
+with one generator per trial.
 
 Infrastructure streams use reserved substream bases far above any trial
 index: projection draws at 2**62, per-batch derived master seeds at 2**61,
@@ -34,14 +38,18 @@ import numpy as np
 from . import analytics
 from .detection import build_mixtures, log_likelihood_ratios
 from .errors import DimensionError, DomainError
-from .model import RngContract, Scenario, trial_stream, validate_scenario
+# trial_stream stays bound here although the engine draws through
+# trial_streams: perfbench/spans.py traces it on this module
+from .model import RngContract, Scenario, trial_stream, trial_streams, validate_scenario
 from .projection import ProjectionOperator, gen_projection
 
 PHI_STREAM_BASE = 2**62
 BATCH_MASTER_BASE = 2**61
 POINT_MASTER_BASE = 2**60
-# a chunk holds max(1, CHUNK_VALUES // (N * M)) trials, about 4 MB of draws
-CHUNK_VALUES = 2**19
+# a chunk holds max(1, CHUNK_VALUES // values) trials, where values counts
+# the ambient values one trial draws (N * P of noise, N * P of random
+# signal, B * P of random artificial noise): about 2 MB of buffers
+CHUNK_VALUES = 2**18
 
 # 95% normal quantile for Wald intervals
 _WALD_Z = 1.959963984540054
@@ -91,48 +99,86 @@ class MonteCarloResult:
     seed: int
 
 
-def _draw_trial_ys(
-    scenario: Scenario,
-    op: ProjectionOperator,
-    hypothesis: str,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Draw one trial's whitened compressed observations, shape (N, M).
+class _ChunkDrawer:
+    """Draws chunks of trials as whitened observations into reused buffers.
 
-    Draw order within the trial generator is fixed: sensing noise (N, P);
-    under H1 the per-node signal (N, P) when signal_variance > 0; injection
-    coins (B,); artificial-noise randomness (B, P) when art_variance > 0.
+    Trial t draws from the generator of trial_stream(seed, t), re-seeded in
+    place by model.trial_streams. Within a trial the draw order is fixed: sensing noise (N, P); under H1
+    the per-node signal (N, P) when signal_variance > 0; injection coins (B,);
+    artificial-noise randomness (B, P) when art_variance > 0. The ambient
+    buffers are then scaled and shifted in place, element by element in the
+    order of a one-trial draw, and projected with W by one stacked product,
+    which runs the per-trial product of every trial (a product reshaped to
+    (chunk * N, P) would round differently).
+
+    A chunk holds at most `limit` trials, and at most CHUNK_VALUES ambient
+    values counted over everything a trial draws (at least one trial).
     """
-    model = scenario.model
-    n = scenario.num_nodes
-    p = model.ambient_dim
-    u = rng.standard_normal((n, p)) * math.sqrt(model.noise_variance)
-    if hypothesis == "H1":
-        if model.signal_variance > 0.0:
-            u = u + model.mean + rng.standard_normal((n, p)) * math.sqrt(
-                model.signal_variance
-            )
-        else:
-            u = u + model.mean
-    zs = u @ op.whitened.T
-    policy = scenario.injection
-    b = scenario.num_injecting
-    if policy is not None and b > 0:
-        coins = rng.random(b)
-        if policy.art_variance > 0.0:
-            w = policy.kappa * model.mean + rng.standard_normal((b, p)) * math.sqrt(
-                policy.art_variance
-            )
-            zw = w @ op.whitened.T
-        else:
-            zw = policy.kappa * (model.mean @ op.whitened.T)
-        if hypothesis == "H1":
-            p_add, p_sub = policy.p11, policy.p21
-        else:
-            p_add, p_sub = policy.p10, policy.p20
-        signs = np.where(coins < p_add, 1.0, np.where(coins < p_add + p_sub, -1.0, 0.0))
-        zs[:b] += signs[:, None] * zw
-    return zs
+
+    def __init__(self, scenario: Scenario, op: ProjectionOperator, limit: int) -> None:
+        model = scenario.model
+        policy = scenario.injection
+        n, p, m = scenario.num_nodes, model.ambient_dim, scenario.compressed_dim
+        b = scenario.num_injecting
+        random_signal = not model.is_deterministic
+        random_art = b > 0 and policy.art_variance > 0.0
+        values = (n + n * random_signal + b * random_art) * p
+        chunk = min(max(1, CHUNK_VALUES // values), limit)
+        self.chunk = chunk
+        self.scenario = scenario
+        self.injectors = b
+        self.projection = op.whitened.T
+        self.noise = np.empty((chunk, n, p))
+        self.signal = np.empty((chunk, n, p)) if random_signal else None
+        self.coins = np.empty((chunk, b))
+        self.art = np.empty((chunk, b, p)) if random_art else None
+        if random_art:
+            self.zw = np.empty((chunk, b, m))
+        elif b:
+            self.zw = policy.kappa * (model.mean @ self.projection)
+        self.zs = np.empty((chunk, n, m))
+
+    def draw(self, hypothesis: str, lo: int, count: int) -> np.ndarray:
+        """Whitened observations of trials lo .. lo + count - 1, a view of
+        shape (count, N, M) into the reused output buffer."""
+        model = self.scenario.model
+        alternative = hypothesis == "H1"
+        signal = self.signal if alternative else None
+        b, art = self.injectors, self.art
+        for k, gen in enumerate(trial_streams(self.scenario.seed, lo, lo + count)):
+            gen.standard_normal(out=self.noise[k])
+            if signal is not None:
+                gen.standard_normal(out=signal[k])
+            if b:
+                gen.random(out=self.coins[k])
+                if art is not None:
+                    gen.standard_normal(out=art[k])
+        u = self.noise[:count]
+        u *= math.sqrt(model.noise_variance)
+        if alternative:
+            u += model.mean
+            if signal is not None:
+                s = signal[:count]
+                s *= math.sqrt(model.signal_variance)
+                u += s
+        zs = np.matmul(u, self.projection, out=self.zs[:count])
+        if b:
+            policy = self.scenario.injection
+            if art is not None:
+                w = art[:count]
+                w *= math.sqrt(policy.art_variance)
+                w += policy.kappa * model.mean
+                zw = np.matmul(w, self.projection, out=self.zw[:count])
+            else:
+                zw = self.zw
+            if alternative:
+                p_add, p_sub = policy.p11, policy.p21
+            else:
+                p_add, p_sub = policy.p10, policy.p20
+            coins = self.coins[:count]
+            signs = np.where(coins < p_add, 1.0, np.where(coins < p_add + p_sub, -1.0, 0.0))
+            zs[:, :b] += signs[..., None] * zw
+        return zs
 
 
 def _check_hypothesis(hypothesis: str) -> str:
@@ -172,16 +218,11 @@ def _accumulate(
     mixtures = build_mixtures(scenario, op)
     n_h0 = (trials + 1) // 2
     spans = (("H0", 0, n_h0), ("H1", n_h0, trials))
-    n = scenario.num_nodes
-    m = scenario.compressed_dim
-    chunk = min(max(1, CHUNK_VALUES // (n * m)), n_h0)
-    buffer = np.empty((chunk, n, m))
+    drawer = _ChunkDrawer(scenario, op, n_h0)
+    chunk = drawer.chunk
     for hypothesis, start, stop in spans:
         for lo in range(start, stop, chunk):
-            zs = buffer[: min(chunk, stop - lo)]
-            for k in range(zs.shape[0]):
-                gen = trial_stream(scenario.seed, lo + k)
-                zs[k] = _draw_trial_ys(scenario, op, hypothesis, gen)
+            zs = drawer.draw(hypothesis, lo, min(chunk, stop - lo))
             fc, eve = log_likelihood_ratios(mixtures, zs)
             positives = int((fc > mixtures.threshold).sum())
             if hypothesis == "H0":
@@ -321,8 +362,8 @@ def sample_transformed_statistics(
         u += model.mean + rng.standard_normal((trials, n, p)) * math.sqrt(
             model.signal_variance
         )
-    z = op.whiten(u @ op.phi.T)
-    template = op.whiten(op.compress(model.mean))
+    z = u @ op.whitened.T
+    template = op.whitened @ model.mean
     quad = np.einsum("tnm,tnm->t", z, z)
     linear = z.sum(axis=1) @ template
     ratio = model.signal_variance / model.noise_variance

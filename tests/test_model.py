@@ -17,6 +17,7 @@ from ccdet import (
     trial_stream,
     validate_scenario,
 )
+from ccdet.model import trial_streams
 
 
 def _model(p=8, mean=None, alpha_inv=0.0, beta_inv=1.0) -> SignalModel:
@@ -212,3 +213,31 @@ def test_trial_stream_matches_contract_address():
     via_helper = trial_stream(77, 11).standard_normal(12)
     via_contract = RngContract(77, 11).generator().standard_normal(12)
     assert np.array_equal(via_helper, via_contract)
+
+
+@pytest.mark.parametrize(
+    "master",
+    [-12345, 0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    + [int(m) for m in np.random.default_rng(8128).integers(0, 2**64, 3, dtype=np.uint64)],
+)
+def test_trial_streams_reproduce_trial_stream(master):
+    # each yield must be in the exact PCG64 state numpy builds for
+    # trial_stream(master, t), over small t and across 2**32, where t's
+    # entropy grows from one 32-bit word to two
+    for start, stop in ((0, 301), (2**32 - 4, 2**32 + 4)):
+        seen = 0
+        for t, gen in zip(range(start, stop), trial_streams(master, start, stop)):
+            reference = trial_stream(master, t)
+            assert gen.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(gen.standard_normal(16), reference.standard_normal(16))
+            seen += 1
+        assert seen == stop - start
+
+
+def test_trial_streams_validates_the_range():
+    assert list(trial_streams(3, 5, 5)) == []
+    (gen,) = trial_streams(3, 7, 8)
+    assert np.array_equal(gen.random(4), trial_stream(3, 7).random(4))
+    for start, stop in ((-1, 2), (4, 3), (0, 2**64 + 1)):
+        with pytest.raises(DomainError):
+            trial_streams(3, start, stop)

@@ -39,8 +39,8 @@ from ccdet.montecarlo import (
     PHI_STREAM_BASE,
     SWEEP_CSV_HEADER,
     _accumulate,
+    _ChunkDrawer,
     _Counts,
-    _draw_trial_ys,
 )
 
 
@@ -60,6 +60,15 @@ def _random_scenario(seed=202, trials=400, mean_scale=0.0) -> Scenario:
         noise_variance=5.0,
     )
     return Scenario(model=model, compressed_dim=15, num_nodes=6, seed=seed, trials=trials)
+
+
+def _wide_scenario(seed=404) -> Scenario:
+    # M=50 of P=100, the compression of the mc_random_wide benchmark, on 5 nodes
+    p = 100
+    model = SignalModel(
+        ambient_dim=p, mean=np.full(p, 0.1), signal_variance=0.05, noise_variance=1.0
+    )
+    return Scenario(model=model, compressed_dim=50, num_nodes=5, seed=seed)
 
 
 def _injection_scenario(
@@ -92,6 +101,46 @@ def _operator(scenario: Scenario):
         scenario.model.ambient_dim,
         RngContract(scenario.seed, PHI_STREAM_BASE),
     )
+
+
+def _draw_trial_ys(
+    scenario: Scenario, op, hypothesis: str, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-trial oracle of the chunk drawer: one trial's whitened compressed
+    observations, shape (N, M), drawn with its own generator in the
+    documented order (sensing noise (N, P); under H1 the per-node signal
+    (N, P) when signal_variance > 0; injection coins (B,); artificial-noise
+    randomness (B, P) when art_variance > 0)."""
+    model = scenario.model
+    n = scenario.num_nodes
+    p = model.ambient_dim
+    u = rng.standard_normal((n, p)) * math.sqrt(model.noise_variance)
+    if hypothesis == "H1":
+        if model.signal_variance > 0.0:
+            u = u + model.mean + rng.standard_normal((n, p)) * math.sqrt(
+                model.signal_variance
+            )
+        else:
+            u = u + model.mean
+    zs = u @ op.whitened.T
+    policy = scenario.injection
+    b = scenario.num_injecting
+    if policy is not None and b > 0:
+        coins = rng.random(b)
+        if policy.art_variance > 0.0:
+            w = policy.kappa * model.mean + rng.standard_normal((b, p)) * math.sqrt(
+                policy.art_variance
+            )
+            zw = w @ op.whitened.T
+        else:
+            zw = policy.kappa * (model.mean @ op.whitened.T)
+        if hypothesis == "H1":
+            p_add, p_sub = policy.p11, policy.p21
+        else:
+            p_add, p_sub = policy.p10, policy.p20
+        signs = np.where(coins < p_add, 1.0, np.where(coins < p_add + p_sub, -1.0, 0.0))
+        zs[:b] += signs[:, None] * zw
+    return zs
 
 
 def _simulate_trial(scenario: Scenario, op, hypothesis: str, t: int):
@@ -278,12 +327,59 @@ def test_estimate_errors_chunk_invariance(monkeypatch):
         assert default.trials == 250
         assert default.seed == scenario.seed
         assert default.interval == "wald"
-        values = scenario.num_nodes * scenario.compressed_dim
+        # ambient values one trial draws: noise, random signal, random
+        # artificial noise of the injecting nodes
+        model, p = scenario.model, scenario.model.ambient_dim
+        values = scenario.num_nodes * p
+        if not model.is_deterministic:
+            values += scenario.num_nodes * p
+        if scenario.injection is not None and scenario.injection.art_variance > 0.0:
+            values += scenario.num_injecting * p
         for per_chunk in (1, 7):
+            sizes = []
+
+            def scored(mixtures, zs, sizes=sizes):
+                sizes.append(zs.shape[0])
+                return log_likelihood_ratios(mixtures, zs)
+
             monkeypatch.setattr(montecarlo, "CHUNK_VALUES", per_chunk * values)
+            monkeypatch.setattr(montecarlo, "log_likelihood_ratios", scored)
             chunked = estimate_errors(scenario, op, 250)
+            full, rest = divmod(125, per_chunk)
+            assert sizes == 2 * ([per_chunk] * full + [rest] * (rest > 0))
             assert replace(chunked, wallclock=0.0) == default
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "make_scenario",
+    [
+        _deterministic_scenario,
+        _random_scenario,
+        _injection_scenario,
+        lambda: _injection_scenario(art_variance=0.0, signal_variance=0.0),
+        _wide_scenario,
+    ],
+    ids=["deterministic", "random", "injection", "injection_fixed_noise", "wide"],
+)
+@pytest.mark.parametrize("hypothesis", ["H0", "H1"])
+def test_chunk_drawer_equals_per_trial_draws(make_scenario, hypothesis):
+    # bit for bit, not approximately: the stacked product runs each trial's
+    # own (N, P) x (P, M) product; a product reshaped to (chunk * N, P)
+    # rounds differently, with OpenBLAS at the wide shapes (N=5, P=100, M=50)
+    scenario = make_scenario()
+    op = _operator(scenario)
+    drawer = _ChunkDrawer(scenario, op, 7)
+    for lo, count in ((20, 7), (40, 5)):  # a full chunk, then a remainder
+        zs = drawer.draw(hypothesis, lo, count)
+        expected = np.stack(
+            [
+                _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
+                for t in range(lo, lo + count)
+            ]
+        )
+        assert zs.shape == expected.shape
+        assert np.array_equal(zs, expected)
 
 
 def test_estimate_errors_odd_split_gives_extra_null_trial():
