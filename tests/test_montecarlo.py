@@ -175,11 +175,14 @@ def test_simulate_trial_injection_produces_both_decisions():
     assert build_mixtures(scenario, op).threshold == 0.0
 
 
-def _mixture_logpdf(ys, weights, offsets, variance, direction, gram):
+def _mixture_logpdf(ys, weights, offsets, variances, direction, gram):
     """Log density of each row of ys under sum_k w_k N(c_k direction,
-    variance * gram), by scipy."""
+    v_k * gram), by scipy."""
     parts = np.stack(
-        [stats.multivariate_normal.logpdf(ys, c * direction, variance * gram) for c in offsets],
+        [
+            stats.multivariate_normal.logpdf(ys, c * direction, v * gram)
+            for c, v in zip(offsets, variances)
+        ],
         axis=-1,
     )
     with np.errstate(divide="ignore"):
@@ -188,19 +191,23 @@ def _mixture_logpdf(ys, weights, offsets, variance, direction, gram):
 
 def _oracle_llrs(scenario: Scenario, ys: np.ndarray, op):
     """Per-trial summed log-likelihood ratios (fc, eve) of one (N, M) trial,
-    written out from the scenario fields."""
+    written out from the generative model of _draw_trial_ys: under
+    hypothesis h a node whose injection component shifts it by c kappa phi mu
+    (c in {+1, -1, 0}) has mean (h + c kappa) phi mu and covariance
+    (s + h a + |c| art) G, so the unchanged component carries no artificial
+    noise."""
     model = scenario.model
     direction = op.phi @ model.mean
     gram = op.phi @ op.phi.T
     a, s = model.signal_variance, model.noise_variance
 
-    def pair(rows, w0, w1, offsets, art):
-        h0 = _mixture_logpdf(rows, w0, offsets, art + s, direction, gram)
-        h1 = _mixture_logpdf(rows, w1, offsets + 1.0, a + art + s, direction, gram)
+    def pair(rows, w0, w1, offsets, arts):
+        h0 = _mixture_logpdf(rows, w0, offsets, s + arts, direction, gram)
+        h1 = _mixture_logpdf(rows, w1, offsets + 1.0, a + s + arts, direction, gram)
         return float((h1 - h0).sum())
 
     def clean(rows):
-        return pair(rows, [1.0], [1.0], np.zeros(1), 0.0)
+        return pair(rows, [1.0], [1.0], np.zeros(1), np.zeros(1))
 
     policy = scenario.injection
     if policy is None:
@@ -212,8 +219,9 @@ def _oracle_llrs(scenario: Scenario, ys: np.ndarray, op):
     fc_w1 = [policy.p11, policy.p21, 1.0 - policy.p11 - policy.p21]
     eve_w0 = [f * policy.p10, f * policy.p20, 1.0 - f * (policy.p10 + policy.p20)]
     eve_w1 = [f * policy.p11, f * policy.p21, 1.0 - f * (policy.p11 + policy.p21)]
-    fc = pair(ys[:b], fc_w0, fc_w1, offsets, art) + clean(ys[b:])
-    return fc, pair(ys, eve_w0, eve_w1, offsets, art)
+    arts = np.array([art, art, 0.0])
+    fc = pair(ys[:b], fc_w0, fc_w1, offsets, arts) + clean(ys[b:])
+    return fc, pair(ys, eve_w0, eve_w1, offsets, arts)
 
 
 def _replay_counts(scenario: Scenario, op, trials: int):
@@ -256,6 +264,36 @@ def test_engine_agrees_with_scalar_path(make_scenario):
         assert result.pe_ev_ci is None
 
 
+@pytest.mark.parametrize(
+    "make_scenario",
+    [
+        _deterministic_scenario,
+        _random_scenario,
+        _injection_scenario,
+        lambda: _injection_scenario(signal_variance=0.0),
+        lambda: _injection_scenario(art_variance=0.0),
+    ],
+    ids=["deterministic", "random", "injection", "injection_deterministic", "injection_fixed_noise"],
+)
+def test_llrs_equal_generative_density_ratios(make_scenario):
+    # the tests must score the density of the data the engine simulates:
+    # on each replayed trial the summed ratios equal the scipy ratios of
+    # _oracle_llrs, whose unchanged component carries no artificial noise
+    scenario = make_scenario()
+    op = _operator(scenario)
+    mixtures = build_mixtures(scenario, op)
+    for t in range(40):
+        hypothesis = "H0" if t < 20 else "H1"
+        zs = _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
+        fc, eve = log_likelihood_ratios(mixtures, zs[None])
+        fc_ref, eve_ref = _oracle_llrs(scenario, zs @ op.gram_cholesky.T, op)
+        assert fc[0] == pytest.approx(fc_ref, rel=1e-9, abs=1e-9)
+        if eve_ref is None:
+            assert eve is None
+        else:
+            assert eve[0] == pytest.approx(eve_ref, rel=1e-9, abs=1e-9)
+
+
 # (n_h0, n_h1, fc false alarms, fc detections, eve false alarms, eve
 # detections) of a 2000-trial estimate; any change to the draws, the
 # statistics or the thresholds moves these counts
@@ -264,6 +302,7 @@ PINNED_COUNTS = {
     "random_zero_mean": (1000, 1000, 244, 722, 0, 0),
     "random_nonzero_mean": (1000, 1000, 103, 732, 0, 0),
     "injection_deterministic": (1000, 1000, 160, 844, 325, 662),
+    "injection_fixed_noise": (1000, 1000, 134, 823, 174, 752),
     "injection_random": (1000, 1000, 172, 894, 158, 703),
 }
 
@@ -277,6 +316,8 @@ def _pinned_scenario(kind: str) -> Scenario:
         return replace(_random_scenario(seed=13, mean_scale=0.3), priors=(0.6, 0.4))
     if kind == "injection_deterministic":
         return _injection_scenario(seed=14, signal_variance=0.0)
+    if kind == "injection_fixed_noise":
+        return _injection_scenario(seed=16, art_variance=0.0)
     return replace(_injection_scenario(seed=15), priors=(0.4, 0.6))
 
 
