@@ -507,6 +507,11 @@ def deflection_fc(
 
         D_FC = f (1 - P_b kappa)^2 / (kappa^2 P_t + sigma2 / (c mean_norm2))
                + (1 - f) c mean_norm2 / sigma2
+
+    This keeps the paper's approximation, which puts the artificial-noise
+    variance into every node's sigma2, clean nodes and the unchanged
+    injection component included; the Monte Carlo tests of
+    ccdet.detection add it to the +-kappa components only.
     """
     _check_deflection_inputs(c, mean_norm2, sigma2)
     c = float(c)
@@ -531,7 +536,9 @@ def deflection_ev(
         D_EV = (1 - f P_b kappa)^2
                / (f kappa^2 P_t_e + sigma2 / (c mean_norm2))
 
-    Zero exactly on the blinding manifold f P_b kappa = 1.
+    Zero exactly on the blinding manifold f P_b kappa = 1. Like
+    deflection_fc, it keeps the paper's approximation of the artificial-noise
+    variance in every node's sigma2.
     """
     _check_deflection_inputs(c, mean_norm2, sigma2)
     c = float(c)

@@ -4,10 +4,10 @@ fusion center and the eavesdropper.
 Every covariance in the model is a scalar times G = phi phi^T, so in the
 whitened coordinates z = L^-1 y (L L^T = G) of a compressed observation y each
 node's density is an isotropic Gaussian mixture whose component means all lie
-on the one direction u = L^-1 phi mu. The tests take observations in these
-coordinates: a density depends on z only through two numbers, the projection
-z^T u and the energy ||z||^2, and the energy cancels from a likelihood ratio
-whose two hypotheses share a variance (a deterministic signal).
+on the one direction u = L^-1 phi mu. A density depends on z only through two
+numbers, the projection z^T u and the energy ||z||^2, so the tests take those
+two numbers per node; the energy cancels from every ratio when all components
+share one variance (a deterministic signal without artificial noise).
 
 Without injection every node follows the clean pair of densities. Under
 artificial-noise injection each injecting node's observation follows a
@@ -45,19 +45,20 @@ class GaussianMixture:
     """Isotropic Gaussian mixture in whitened coordinates whose component
     means all lie on one direction u.
 
-    Component k has mean offsets[k] * u and covariance variance * I_dim.
+    Component k has mean offsets[k] * u and covariance variance[k] * I_dim.
 
     Attributes:
         weights: Component probabilities, summing to one.
         offsets: Component mean positions along u, one per weight.
-        variance: Shared per-coordinate variance, strictly positive.
+        variance: Per-coordinate variance of each component, strictly
+            positive; a scalar gives every component the same variance.
         energy: Squared length ||u||^2 of the direction.
         dim: Dimension of the whitened observations.
     """
 
     weights: np.ndarray
     offsets: np.ndarray
-    variance: float
+    variance: np.ndarray
     energy: float
     dim: int
 
@@ -72,22 +73,28 @@ class GaussianMixture:
             raise ProbabilityError("mixture weights must sum to one")
         if offsets.shape != weights.shape:
             raise DimensionError("one offset per weight is required")
-        if not float(self.variance) > 0.0:
-            raise SingularCovarianceError("variance must be strictly positive")
+        variance = np.array(self.variance, dtype=float)
+        if variance.ndim > 1 or variance.size not in (1, weights.size):
+            raise DimensionError("one variance per weight (or a single one) is required")
+        variance = np.broadcast_to(variance, weights.shape).copy()
+        if not np.all(variance > 0.0):
+            raise SingularCovarianceError("variances must be strictly positive")
         if not float(self.energy) >= 0.0:
             raise DomainError("energy must be nonnegative")
         if int(self.dim) < 1:
             raise DimensionError("dim must be a positive integer")
-        log_weights = np.full(weights.shape, -np.inf)
-        np.log(weights, out=log_weights, where=weights > 0.0)
-        for arr in (weights, offsets, log_weights):
+        # log w_k - (dim / 2) log variance_k, -inf for a zero weight
+        log_norms = np.full(weights.shape, -np.inf)
+        np.log(weights, out=log_norms, where=weights > 0.0)
+        log_norms -= 0.5 * int(self.dim) * np.log(variance)
+        for arr in (weights, offsets, variance, log_norms):
             arr.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "variance", float(self.variance))
+        object.__setattr__(self, "variance", variance)
         object.__setattr__(self, "energy", float(self.energy))
         object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "_log_weights", log_weights)
+        object.__setattr__(self, "_log_norms", log_norms)
 
     @property
     def num_components(self) -> int:
@@ -97,25 +104,28 @@ class GaussianMixture:
         """Mixture log density of whitened observations z, elementwise over
         proj = z^T u and sq_norm = ||z||^2 (arrays of one shape).
 
-        A caller that only differences two mixtures of equal variance may
-        pass sq_norm = 0: the energy term -sq_norm / (2 variance) is then the
-        same on both sides and cancels.
+        A caller that only differences mixtures whose variances all equal
+        may pass sq_norm = 0: the energy term -sq_norm / (2 variance) is
+        then the same on both sides and cancels.
         """
         proj = np.asarray(proj, dtype=float)
-        inv_var = 1.0 / self.variance
-        base = -0.5 * inv_var * sq_norm - 0.5 * self.dim * (
-            _LOG_2PI + math.log(self.variance)
-        )
         if self.num_components == 1:
+            variance = float(self.variance[0])
+            inv_var = 1.0 / variance
             c = float(self.offsets[0])
+            base = -0.5 * inv_var * sq_norm - 0.5 * self.dim * (_LOG_2PI + math.log(variance))
             return (inv_var * c) * proj + (base - 0.5 * inv_var * c * c * self.energy)
         offsets = self.offsets
-        scored = self._log_weights + inv_var * (
-            proj[..., None] * offsets - 0.5 * self.energy * offsets * offsets
+        inv_var = 1.0 / self.variance
+        scored = self._log_norms + inv_var * (
+            proj[..., None] * offsets
+            - 0.5 * np.asarray(sq_norm)[..., None]
+            - 0.5 * self.energy * offsets * offsets
         )
         shift = scored.max(axis=-1)
         # all-zero-weight rows cannot occur (weights sum to one)
-        return base + shift + np.log(np.exp(scored - shift[..., None]).sum(axis=-1))
+        log_sum = np.log(np.exp(scored - shift[..., None]).sum(axis=-1))
+        return shift + log_sum - 0.5 * self.dim * _LOG_2PI
 
 
 Pair = tuple[GaussianMixture, GaussianMixture]
@@ -126,9 +136,8 @@ class ScenarioMixtures:
     """Observation densities of one scenario under each hypothesis.
 
     Attributes:
-        direction: u = L^-1 phi mu, so a node's projection is z @ direction.
         threshold: log(P0/P1); a test decides H1 only above it.
-        num_injecting: Injecting nodes, the first rows of every trial.
+        num_injecting: Injecting nodes, the first nodes of every trial.
         clean: (H0, H1) single-component densities of a non-injecting node.
         fc_byz: (H0, H1) mixtures for an injecting node as scored by the
             fusion center (true add/subtract probabilities); None without
@@ -138,12 +147,20 @@ class ScenarioMixtures:
             where the eavesdropper's test coincides with the fusion center's.
     """
 
-    direction: np.ndarray
     threshold: float
     num_injecting: int
     clean: Pair
     fc_byz: Pair | None = None
     eve: Pair | None = None
+
+    @property
+    def uses_energy(self) -> bool:
+        """True unless every component of every density has one variance,
+        the only case in which the energy ||z||^2 cancels from every
+        ratio."""
+        pairs = [pair for pair in (self.clean, self.fc_byz, self.eve) if pair is not None]
+        variances = np.concatenate([mix.variance for pair in pairs for mix in pair])
+        return bool(np.any(variances != variances[0]))
 
 
 def _prior_log_ratio(priors: tuple[float, float]) -> float:
@@ -162,9 +179,11 @@ def build_mixtures(scenario: Scenario, op: ProjectionOperator) -> ScenarioMixtur
 
     The clean pair has offsets {0} and {1} with variances noise and
     signal + noise. Injected components sit at offsets {+kappa, -kappa, 0}
-    around the hypothesis offset (0 or 1), with variance art + noise under H0
-    and signal + art + noise under H1, where signal, noise and art are the
-    signal, sensing-noise and artificial-noise variances.
+    around the hypothesis offset (0 or 1). The unchanged component 0 keeps
+    the clean variance of its hypothesis, and the +-kappa components, which
+    carry the artificial noise, add art to it; signal, noise and art are the
+    signal, sensing-noise and artificial-noise variances. The eavesdropper's
+    pair has the same components.
     """
     model = scenario.model
     if model.ambient_dim != op.ambient_dim:
@@ -182,14 +201,13 @@ def build_mixtures(scenario: Scenario, op: ProjectionOperator) -> ScenarioMixtur
     fc_byz = eve = None
     policy = scenario.injection
     if policy is not None:
-        k = policy.kappa
-        injected = policy.art_variance + noise
-        f = policy.fraction
+        k, art, f = policy.kappa, policy.art_variance, policy.fraction
+        var0, var1 = noise, signal + noise
 
         def pair(w0, w1) -> Pair:
             return (
-                density(w0, [k, -k, 0.0], injected),
-                density(w1, [1.0 + k, 1.0 - k, 1.0], signal + injected),
+                density(w0, [k, -k, 0.0], [var0 + art, var0 + art, var0]),
+                density(w1, [1.0 + k, 1.0 - k, 1.0], [var1 + art, var1 + art, var1]),
             )
 
         fc_byz = pair(
@@ -200,10 +218,7 @@ def build_mixtures(scenario: Scenario, op: ProjectionOperator) -> ScenarioMixtur
             [f * policy.p10, f * policy.p20, 1.0 - f * (policy.p10 + policy.p20)],
             [f * policy.p11, f * policy.p21, 1.0 - f * (policy.p11 + policy.p21)],
         )
-    direction = op.whitened @ model.mean
-    direction.flags.writeable = False
     return ScenarioMixtures(
-        direction=direction,
         threshold=_prior_log_ratio(scenario.priors),
         num_injecting=scenario.num_injecting,
         clean=clean,
@@ -213,29 +228,32 @@ def build_mixtures(scenario: Scenario, op: ProjectionOperator) -> ScenarioMixtur
 
 
 def log_likelihood_ratios(
-    mixtures: ScenarioMixtures, zs: np.ndarray
+    mixtures: ScenarioMixtures, proj, sq_norm=None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Summed log-likelihood ratios of a (T, N, M) stack of whitened trials,
-    one per trial for the fusion center and for the eavesdropper (None
-    without injection). A test decides H1 when its ratio exceeds
+    """Summed log-likelihood ratios of T trials, one per trial for the
+    fusion center and for the eavesdropper (None without injection).
+
+    proj = z^T u and sq_norm = ||z||^2 are (T, N) arrays of each node's
+    whitened observation z; sq_norm is read only when mixtures.uses_energy
+    and may be None otherwise. A test decides H1 when its ratio exceeds
     mixtures.threshold.
     """
-    zs = np.asarray(zs, dtype=float)
-    m = mixtures.direction.shape[0]
-    if zs.ndim != 3 or zs.shape[2] != m:
-        raise DimensionError(f"expected a (T, N, {m}) stack of trials, got {zs.shape}")
-    proj = zs @ mixtures.direction
-    # the energy terms cancel unless the hypotheses' variances differ, which
-    # holds for every pair at once (signal_variance > 0)
-    sq_norm = 0.0
-    if mixtures.clean[0].variance != mixtures.clean[1].variance:
-        sq_norm = np.einsum("tnm,tnm->tn", zs, zs)
+    proj = np.asarray(proj, dtype=float)
+    if proj.ndim != 2:
+        raise DimensionError(f"expected (T, N) projections, got shape {proj.shape}")
+    if mixtures.uses_energy:
+        sq_norm = np.asarray(sq_norm, dtype=float)
+        if sq_norm.shape != proj.shape:
+            raise DimensionError(
+                f"energies of shape {sq_norm.shape} do not match projections {proj.shape}"
+            )
+    else:
+        sq_norm = np.zeros(proj.shape)
 
     def summed(pair: Pair, nodes: slice) -> np.ndarray:
-        energy = sq_norm[:, nodes] if np.ndim(sq_norm) else sq_norm
         h0, h1 = pair
-        llr = h1.loglik_rows(proj[:, nodes], energy) - h0.loglik_rows(proj[:, nodes], energy)
-        return llr.sum(axis=1)
+        p, e = proj[:, nodes], sq_norm[:, nodes]
+        return (h1.loglik_rows(p, e) - h0.loglik_rows(p, e)).sum(axis=1)
 
     everyone = slice(None)
     if mixtures.eve is None:

@@ -216,6 +216,7 @@ def _accumulate(
     counts: _Counts,
 ) -> None:
     mixtures = build_mixtures(scenario, op)
+    direction = op.whitened @ scenario.model.mean
     n_h0 = (trials + 1) // 2
     spans = (("H0", 0, n_h0), ("H1", n_h0, trials))
     drawer = _ChunkDrawer(scenario, op, n_h0)
@@ -223,7 +224,8 @@ def _accumulate(
     for hypothesis, start, stop in spans:
         for lo in range(start, stop, chunk):
             zs = drawer.draw(hypothesis, lo, min(chunk, stop - lo))
-            fc, eve = log_likelihood_ratios(mixtures, zs)
+            sq_norm = np.einsum("tnm,tnm->tn", zs, zs) if mixtures.uses_energy else None
+            fc, eve = log_likelihood_ratios(mixtures, zs @ direction, sq_norm)
             positives = int((fc > mixtures.threshold).sum())
             if hypothesis == "H0":
                 counts.fc_fa += positives

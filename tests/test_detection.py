@@ -7,8 +7,9 @@ one extended-precision check goes through mpmath. Projections and whitened
 energies are formed with dense numpy.linalg algebra, independently of the
 operator's cached factorization. Each test of the fusion-center and
 eavesdropper statistics draws compressed observations y, evaluates these
-densities on y directly and passes the tests their whitened form
-op.whiten(y), which pins the tests to the underlying likelihood-ratio tests.
+densities on y directly and passes the tests each node's statistics
+y^T G^-1 phi mu and y^T G^-1 y (the projection and energy of the whitened
+observation), which pins the tests to the underlying likelihood-ratio tests.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ def _brute_stats(op, mean, ys):
     return proj, sq_norm, 0.5 * np.linalg.slogdet(op.phi @ op.phi.T)[1]
 
 
+def _node_stats(op, mean, ys):
+    """(proj, sq_norm) of compressed observations ys, by dense algebra."""
+    proj, sq_norm, _ = _brute_stats(op, mean, ys)
+    return proj, sq_norm
+
+
 def _brute_energy(op, mean) -> float:
     p_hat = op.phi.T @ np.linalg.solve(op.phi @ op.phi.T, op.phi)
     return float(mean @ p_hat @ mean)
@@ -64,9 +71,10 @@ def _mixture(op, mean, weights, offsets, variance) -> GaussianMixture:
     )
 
 
-def _scipy_mixture_loglik(ys, weights, means, cov):
+def _scipy_mixture_loglik(ys, weights, means, covs):
     parts = np.stack(
-        [stats.multivariate_normal.logpdf(ys, mean, cov) for mean in means], axis=-1
+        [stats.multivariate_normal.logpdf(ys, mean, cov) for mean, cov in zip(means, covs)],
+        axis=-1,
     )
     return logsumexp(np.atleast_2d(parts) + np.log(weights)[None, :], axis=1)
 
@@ -85,6 +93,12 @@ def test_mixture_validation():
         GaussianMixture([1.0], [0.0], 1.0, 1.0, 0)
     with pytest.raises(SingularCovarianceError):
         GaussianMixture([1.0], [0.0], 0.0, 1.0, 2)
+    with pytest.raises(SingularCovarianceError):
+        GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 0.0], 1.0, 2)
+    with pytest.raises(DimensionError):
+        GaussianMixture([0.5, 0.5], [0.0, 1.0], [1.0, 2.0, 3.0], 1.0, 2)
+    # a scalar variance is shared by every component
+    assert np.array_equal(good.variance, [1.5, 1.5, 1.5])
     with pytest.raises(DomainError):
         GaussianMixture([1.0], [0.0], 1.0, -1.0, 2)
 
@@ -123,7 +137,13 @@ def test_loglik_rows_match_scipy_logsumexp():
     ys = np.random.default_rng(8).standard_normal((10, 4)) * 3.0
     proj, sq_norm, log_det_l = _brute_stats(op, mean, ys)
     means = np.outer(mix.offsets, op.phi @ mean)
-    expected = _scipy_mixture_loglik(ys, mix.weights, means, 1.8 * op.gram)
+    expected = _scipy_mixture_loglik(ys, mix.weights, means, [1.8 * op.gram] * 3)
+    got = mix.loglik_rows(proj, sq_norm) - log_det_l
+    assert np.allclose(got, expected, rtol=1e-11, atol=1e-11)
+    # one variance per component
+    variances = [0.4, 2.9, 1.1]
+    mix = _mixture(op, mean, [0.5, 0.2, 0.3], [1.7, -0.7, 1.0], variances)
+    expected = _scipy_mixture_loglik(ys, mix.weights, means, [v * op.gram for v in variances])
     got = mix.loglik_rows(proj, sq_norm) - log_det_l
     assert np.allclose(got, expected, rtol=1e-11, atol=1e-11)
     # stacked (T, N) statistics score elementwise
@@ -190,7 +210,7 @@ def test_decision_tie_goes_to_null():
     op = gen_projection(4, 10, RngContract(5, 2**62))
     mixtures = build_mixtures(scenario, op)
     ys = np.random.default_rng(5).standard_normal((6, 3, 4))
-    fc, eve = log_likelihood_ratios(mixtures, ys)
+    fc, eve = log_likelihood_ratios(mixtures, *_node_stats(op, np.zeros(10), ys))
     assert eve is None
     assert np.all(fc == mixtures.threshold) and mixtures.threshold == 0.0
     result = estimate_errors(scenario, op, 200)
@@ -223,16 +243,17 @@ def test_fc_statistic_deterministic_matches_brute_force():
     s = rng.standard_normal(9)
     ys = rng.standard_normal((2, 5, 4))
     mixtures = build_mixtures(_deterministic_scenario(op, s, 5, 1.3), op)
-    fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys))
+    fc, _ = log_likelihood_ratios(mixtures, *_node_stats(op, s, ys))
     template = np.linalg.solve(op.gram, op.phi @ s)
     energy = _brute_energy(op, s)
     for t in range(2):
         matched = float(sum(y @ template for y in ys[t]))
         assert 1.3 * fc[t] == pytest.approx(matched - 0.5 * 5 * energy, rel=1e-10)
+    assert not mixtures.uses_energy
     with pytest.raises(DimensionError):
         log_likelihood_ratios(mixtures, np.ones((2, 5, 3)))
     with pytest.raises(DimensionError):
-        log_likelihood_ratios(mixtures, np.ones((5, 4)))
+        log_likelihood_ratios(mixtures, np.ones(5))
 
 
 def test_fc_threshold_deterministic_is_half_projected_energy():
@@ -241,7 +262,7 @@ def test_fc_threshold_deterministic_is_half_projected_energy():
     op = gen_projection(4, 9, RngContract(4, 2**62))
     s = np.random.default_rng(5).standard_normal(9)
     mixtures = build_mixtures(_deterministic_scenario(op, s, 7, 1.0), op)
-    fc, _ = log_likelihood_ratios(mixtures, np.zeros((1, 7, 4)))
+    fc, _ = log_likelihood_ratios(mixtures, np.zeros((1, 7)))
     p_hat = op.phi.T @ np.linalg.solve(op.gram, op.phi)
     expected = 0.5 * 7 * float(s @ p_hat @ s)
     assert -fc[0] == pytest.approx(expected, rel=1e-11)
@@ -270,7 +291,7 @@ def test_deterministic_verdict_equals_density_ratio_test():
                 stats.multivariate_normal.logpdf(ys, mean1, cov).sum()
                 - stats.multivariate_normal.logpdf(ys, np.zeros(3), cov).sum()
             )
-            fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys)[None])
+            fc, _ = log_likelihood_ratios(mixtures, *_node_stats(op, s, ys[None]))
             assert fc[0] == pytest.approx(llr, rel=1e-8, abs=1e-9)
             assert (fc[0] > mixtures.threshold) == (llr > log_prior)
 
@@ -290,8 +311,13 @@ def test_fc_statistic_random_matches_brute_force():
     model = _random_model()
     scenario = Scenario(model=model, compressed_dim=3, num_nodes=5)
     ys = np.random.default_rng(10).standard_normal((3, 5, 3))
-    fc, eve = log_likelihood_ratios(build_mixtures(scenario, op), op.whiten(ys))
+    mixtures = build_mixtures(scenario, op)
+    assert mixtures.uses_energy
+    proj, sq_norm = _node_stats(op, model.mean, ys)
+    fc, eve = log_likelihood_ratios(mixtures, proj, sq_norm)
     assert eve is None
+    with pytest.raises(DimensionError):
+        log_likelihood_ratios(mixtures, proj, sq_norm[:, :4])
     gram_inv = np.linalg.inv(op.gram)
     proj_mean = op.phi @ model.mean
     a, b = model.signal_variance, model.noise_variance
@@ -343,7 +369,7 @@ def test_random_verdict_equals_density_ratio_test():
                 stats.multivariate_normal.logpdf(ys, mean1, cov1).sum()
                 - stats.multivariate_normal.logpdf(ys, np.zeros(3), cov0).sum()
             )
-            fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys)[None])
+            fc, _ = log_likelihood_ratios(mixtures, *_node_stats(op, model.mean, ys[None]))
             assert fc[0] == pytest.approx(llr, rel=1e-9, abs=1e-10)
             assert (fc[0] > mixtures.threshold) == (llr > log_prior)
 
@@ -352,14 +378,19 @@ def test_whitened_energy_does_not_depend_on_block_size():
     # each trial is whitened and scored on its own, so a stack scored in
     # blocks gives exactly the ratios of the whole stack
     op = gen_projection(3, 8, RngContract(14, 2**62))
-    scenario = Scenario(model=_random_model(), compressed_dim=3, num_nodes=4)
+    model = _random_model()
+    scenario = Scenario(model=model, compressed_dim=3, num_nodes=4)
     mixtures = build_mixtures(scenario, op)
+    u = op.whiten(op.phi @ model.mean)
+
+    def scored(ys):
+        zs = op.whiten(ys)
+        return log_likelihood_ratios(mixtures, zs @ u, np.einsum("tnm,tnm->tn", zs, zs))[0]
+
     ys = np.random.default_rng(15).standard_normal((50, 4, 3))
-    whole, _ = log_likelihood_ratios(mixtures, op.whiten(ys))
+    whole = scored(ys)
     # blocks of three trials: 16 full blocks and a remainder of two
-    blocked = np.concatenate(
-        [log_likelihood_ratios(mixtures, op.whiten(ys[t : t + 3]))[0] for t in range(0, 50, 3)]
-    )
+    blocked = np.concatenate([scored(ys[t : t + 3]) for t in range(0, 50, 3)])
     assert np.array_equal(blocked, whole)
 
 
@@ -391,30 +422,29 @@ def test_build_mixtures_structure():
     model = scenario.model
     energy = _brute_energy(op, model.mean)
     assert mixtures.num_injecting == 2
-    assert np.allclose(
-        mixtures.direction,
-        np.linalg.solve(np.linalg.cholesky(op.phi @ op.phi.T), op.phi @ model.mean),
-    )
+    assert mixtures.uses_energy
 
     h0, h1 = mixtures.fc_byz
     assert np.allclose(h0.weights, [0.8, 0.1, 0.1])
     assert np.allclose(h1.weights, [0.1, 0.8, 0.1])
     assert np.array_equal(h0.offsets, [1.0, -1.0, 0.0])
     assert np.array_equal(h1.offsets, [2.0, 0.0, 1.0])
-    assert h0.variance == pytest.approx(0.4 + 1.1)
-    assert h1.variance == pytest.approx(0.7 + 0.4 + 1.1)
+    # the unchanged component carries no artificial noise
+    assert np.allclose(h0.variance, [1.1 + 0.4, 1.1 + 0.4, 1.1], rtol=1e-15)
+    assert np.allclose(h1.variance, [1.8 + 0.4, 1.8 + 0.4, 1.8], rtol=1e-15)
 
     e0, e1 = mixtures.eve
     assert np.allclose(e0.weights, [0.24, 0.03, 0.73])
     assert np.allclose(e1.weights, [0.03, 0.24, 0.73])
     assert np.array_equal(e0.offsets, h0.offsets)
-    assert e0.variance == h0.variance
+    assert np.array_equal(e0.variance, h0.variance)
+    assert np.array_equal(e1.variance, h1.variance)
 
     c0, c1 = mixtures.clean
     assert c0.num_components == c1.num_components == 1
     assert (c0.offsets[0], c1.offsets[0]) == (0.0, 1.0)
-    assert c0.variance == pytest.approx(1.1)
-    assert c1.variance == pytest.approx(0.7 + 1.1)
+    assert c0.variance == pytest.approx([1.1])
+    assert c1.variance == pytest.approx([0.7 + 1.1])
     for mix in (h0, h1, e0, e1, c0, c1):
         assert mix.energy == pytest.approx(energy, rel=1e-12)
         assert mix.dim == 3
@@ -429,6 +459,15 @@ def test_build_mixtures_without_policy_and_matching_dims():
     mixtures = build_mixtures(clean, op)
     assert mixtures.fc_byz is None and mixtures.eve is None
     assert mixtures.num_injecting == 0
+    # a deterministic signal without artificial noise: one variance throughout
+    fixed = _injection_scenario(art_variance=0.0)
+    fixed = Scenario(
+        model=SignalModel(6, fixed.model.mean, 0.0, 1.1),
+        compressed_dim=3,
+        num_nodes=5,
+        injection=fixed.injection,
+    )
+    assert not build_mixtures(fixed, op).uses_energy
     mismatched = gen_projection(2, 6, RngContract(17, 2**62))
     with pytest.raises(DimensionError):
         build_mixtures(scenario, mismatched)
@@ -440,11 +479,12 @@ def test_build_mixtures_without_policy_and_matching_dims():
 def _oracle_pair(ys, pair, op, mean):
     h0, h1 = pair
     direction = op.phi @ mean
-    return _scipy_mixture_loglik(
-        ys, h1.weights, np.outer(h1.offsets, direction), h1.variance * op.gram
-    ) - _scipy_mixture_loglik(
-        ys, h0.weights, np.outer(h0.offsets, direction), h0.variance * op.gram
-    )
+
+    def loglik(mix):
+        covs = [v * op.gram for v in mix.variance]
+        return _scipy_mixture_loglik(ys, mix.weights, np.outer(mix.offsets, direction), covs)
+
+    return loglik(h1) - loglik(h0)
 
 
 def test_fc_decide_with_byzantines_matches_density_oracle():
@@ -455,7 +495,7 @@ def test_fc_decide_with_byzantines_matches_density_oracle():
     assert mixtures.threshold == pytest.approx(math.log(1.5), rel=1e-12)
     rng = np.random.default_rng(21)
     ys = rng.standard_normal((20, 5, 3)) * 2.0
-    fc, _ = log_likelihood_ratios(mixtures, op.whiten(ys))
+    fc, _ = log_likelihood_ratios(mixtures, *_node_stats(op, mean, ys))
     for t in range(20):
         byz = _oracle_pair(ys[t, :2], mixtures.fc_byz, op, mean)
         clean1 = stats.multivariate_normal.logpdf(ys[t, 2:], op.phi @ mean, 1.8 * op.gram)
@@ -472,9 +512,9 @@ def test_fc_decide_flag_routing():
     mixtures = build_mixtures(scenario, op)
     assert mixtures.num_injecting == 1
     y_at_offset = (op.phi @ scenario.model.mean) * (1.0 + 3.0)
-    zs = op.whiten(np.stack([y_at_offset, np.zeros(3)])[None])
-    flagged, _ = log_likelihood_ratios(mixtures, zs)
-    unflagged, _ = log_likelihood_ratios(mixtures, zs[:, ::-1])
+    proj, sq_norm = _node_stats(op, scenario.model.mean, np.stack([y_at_offset, np.zeros(3)])[None])
+    flagged, _ = log_likelihood_ratios(mixtures, proj, sq_norm)
+    unflagged, _ = log_likelihood_ratios(mixtures, proj[:, ::-1], sq_norm[:, ::-1])
     assert flagged[0] != unflagged[0]
     mean = scenario.model.mean
     expected = _oracle_pair(y_at_offset, mixtures.fc_byz, op, mean)[0]
@@ -488,7 +528,7 @@ def test_eve_decide_matches_density_oracle():
     mixtures = build_mixtures(scenario, op)
     rng = np.random.default_rng(22)
     ys = rng.standard_normal((4, 5, 3)) * 1.5
-    _, eve = log_likelihood_ratios(mixtures, op.whiten(ys))
+    _, eve = log_likelihood_ratios(mixtures, *_node_stats(op, scenario.model.mean, ys))
     for t in range(4):
         expected = float(_oracle_pair(ys[t], mixtures.eve, op, scenario.model.mean).sum())
         assert eve[t] == pytest.approx(expected, rel=1e-9, abs=1e-10)
