@@ -20,7 +20,6 @@ pair that yields reproducible, order-independent numpy generators.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -228,9 +227,10 @@ class RngContract:
     A stream is addressed by (master_seed, substream_id); equal addresses give
     bit-identical generators and distinct addresses give independent streams,
     no matter in which order they are created. Substream ids are allocated by
-    convention: Monte Carlo trial t uses substream t, and infrastructure
-    streams sit at bases far above any realistic trial count (projection draws
-    at 2**62, per-batch derived masters at 2**61, sweep grid points at 2**60).
+    convention: Monte Carlo trial block k (trials k * TRIAL_BLOCK onwards, see
+    ccdet.montecarlo) uses substream k, and infrastructure streams sit at
+    bases far above any realistic block count (projection draws at 2**62,
+    per-batch derived masters at 2**61, sweep grid points at 2**60).
 
     Attributes:
         master_seed: 64-bit master seed (reduced modulo 2**64).
@@ -262,109 +262,8 @@ class RngContract:
         return int(self.sequence(*extra).generate_state(1, np.uint64)[0])
 
 
-def trial_stream(master_seed: int, trial_index: int) -> np.random.Generator:
-    """Generator for one Monte Carlo trial: substream = trial index."""
-    if trial_index < 0:
-        raise DomainError("trial_index must be nonnegative")
-    return RngContract(master_seed, trial_index).generator()
-
-
-# numpy's SeedSequence hash constants (pool of four 32-bit words)
-_SEED_INIT_A = 0x43B0D7E5
-_SEED_MULT_A = 0x931E8875
-_SEED_INIT_B = 0x8B51F9DD
-_SEED_MULT_B = 0x58F38DED
-_SEED_MIX_L = 0xCA01F9DD
-_SEED_MIX_R = 0x4973F715
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(xor, multiply) constants of `count` successive hash steps, as uint32
-    columns; the constant sequence does not depend on the hashed values."""
-    xors, mults = [], []
-    const = init
-    for _ in range(count):
-        xors.append(const)
-        const = (const * mult) & _MASK32
-        mults.append(const)
-    return (
-        np.array(xors, dtype=np.uint32)[:, None],
-        np.array(mults, dtype=np.uint32)[:, None],
-    )
-
-
-# 4 hashes fill the pool and 12 mix it; generate_state(4, uint64) hashes 8 words
-_POOL_XOR, _POOL_MULT = _hash_constants(_SEED_INIT_A, _SEED_MULT_A, 16)
-_STATE_XOR, _STATE_MULT = _hash_constants(_SEED_INIT_B, _SEED_MULT_B, 8)
-_SHIFT16 = np.uint32(16)
-
-
-def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (words ^ xor) * mult
-    return value ^ (value >> _SHIFT16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    value = np.uint32(_SEED_MIX_L) * x - np.uint32(_SEED_MIX_R) * y
-    return value ^ (value >> _SHIFT16)
-
-
-def trial_streams(master_seed: int, start: int, stop: int) -> Iterator[np.random.Generator]:
-    """Generators of trial_stream(master_seed, t) for t in [start, stop).
-
-    Yields one reused Generator, re-seeded before each yield to the exact
-    state of trial_stream(master_seed, t), so each yield draws the numbers
-    of that trial's own generator; draw from it before advancing. This
-    replaces building a SeedSequence, a PCG64 and a Generator per trial:
-    the SeedSequence hash of the entropy words (master & (2**64 - 1), t) is
-    computed in uint32 arithmetic for all t at once, the PCG64 seeding step,
-    inc = 2 initseq + 1 and state = ((inc + initstate) MULT + inc)
-    mod 2**128, in Python ints, and each (state, inc) is loaded through the
-    PCG64 ``state`` setter.
-    """
-    start, stop = int(start), int(stop)
-    if not 0 <= start <= stop <= 2**64:
-        raise DomainError(
-            f"trial range must satisfy 0 <= start <= stop <= 2**64, got [{start}, {stop})"
-        )
-    master = int(master_seed) & _UINT64_MASK
-    trials = np.arange(stop - start, dtype=np.uint64) + np.uint64(start)
-    # entropy words, one row each: the master's one or two words, then t's
-    # two; a missing word hashes like a zero word, so t < 2**32 and a
-    # master below 2**32 need no special case
-    master_words = [master & _MASK32] + ([master >> 32] if master >> 32 else [])
-    k = len(master_words)
-    entropy = np.zeros((4, trials.shape[0]), dtype=np.uint32)
-    entropy[:k] = np.array(master_words, dtype=np.uint32)[:, None]
-    entropy[k] = trials & np.uint64(_MASK32)
-    entropy[k + 1] = trials >> np.uint64(32)
-    pool = _hash(entropy, _POOL_XOR[:4], _POOL_MULT[:4])
-    # every source word is mixed into the three others, in order; within one
-    # source the three updates are independent
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        steps = slice(4 + 3 * src, 7 + 3 * src)
-        pool[dst] = _mix(pool[dst], _hash(pool[src], _POOL_XOR[steps], _POOL_MULT[steps]))
-    words = _hash(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _STATE_XOR, _STATE_MULT).astype(np.uint64)
-    seeds = (words[0::2] | (words[1::2] << np.uint64(32))).tolist()
-    return _reseeded(zip(*seeds))
-
-
-def _reseeded(seeds) -> Iterator[np.random.Generator]:
-    """One Generator, re-seeded per PCG64 seed (initstate, initseq) given
-    as 64-bit words (hi, lo, hi, lo)."""
-    bitgen = np.random.PCG64(0)
-    gen = np.random.Generator(bitgen)
-    for hi_state, lo_state, hi_seq, lo_seq in seeds:
-        inc = ((((hi_seq << 64) | lo_seq) << 1) | 1) & _MASK128
-        initstate = (hi_state << 64) | lo_state
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+def trial_stream(master_seed: int, block: int) -> np.random.Generator:
+    """Generator of one Monte Carlo trial block: substream = block index."""
+    if block < 0:
+        raise DomainError(f"block index must be nonnegative, got {block}")
+    return RngContract(master_seed, block).generator()

@@ -1,24 +1,26 @@
 """Monte Carlo error estimation for the full sensing network.
 
-Trials are drawn in whitened coordinates, z = W u with the operator's
-W = L^-1 phi, chunk by chunk into reused buffers (see CHUNK_VALUES), and
-every chunk is scored in one call to the likelihood-ratio test of
-:mod:`ccdet.detection`, the same test for the fusion center and the
-eavesdropper and for every signal kind.
+Every covariance in the model is a scalar times phi phi^T, so the
+likelihood-ratio tests of :mod:`ccdet.detection` read a node's whitened
+observation z only through proj = z^T u and ||z||^2 (u = L^-1 phi mu). The
+engine draws those two numbers directly instead of ambient vectors: given
+the node's mixture component, with mean offset c and variance var, x =
+z^T u / sqrt(E) is N(c sqrt(E), var) and ||z||^2 - x^2 is var times a
+chi-squared variable with M - 1 degrees of freedom, where E = ||u||^2 is
+the projected signal energy. Each block of trials is then scored in one
+call to the test, the same for the fusion center and the eavesdropper.
 
-Reproducibility contract: every Monte Carlo trial draws from its own random
-substream keyed by (scenario seed, trial index), so results do not depend on
-chunking or evaluation order, and re-running with the same seed reproduces the
-same counts exactly. The trial budget is split evenly across hypotheses (the
-extra trial of an odd budget goes to the null); within a trial the draw order
-is fixed: sensing noise, then (under the alternative) the signal, then the
-injection coins, then the artificial-noise vectors. The engine does not build
-a generator per trial: it re-seeds one PCG64 to each trial's substream state
-(:func:`ccdet.model.trial_streams`), which draws exactly the numbers of
-trial_stream(seed, t), so every count and every output byte is the same as
-with one generator per trial.
+Reproducibility contract, version CONTRACT_VERSION: trials are grouped in
+blocks of TRIAL_BLOCK, and trial block k uses substream k, the generator of
+trial_stream(scenario seed, k). A block always draws its whole layout (see
+_draw_block) and a run uses only the rows of its trials, so trial t's
+numbers depend on (seed, t) alone, and re-running with the same seed
+reproduces the same counts exactly. The trial budget is split evenly across
+hypotheses: trial t < (trials + 1) // 2 is drawn under the null. The
+streams come from numpy Generator methods, whose output numpy does not
+promise to keep across versions (NEP 19).
 
-Infrastructure streams use reserved substream bases far above any trial
+Infrastructure streams use reserved substream bases far above any block
 index: projection draws at 2**62, per-batch derived master seeds at 2**61,
 and per-grid-point master seeds for sweeps at 2**60. Fresh-projection
 batching derives an independent master seed per batch; reusing the scenario
@@ -36,20 +38,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytics
-from .detection import build_mixtures, log_likelihood_ratios
+from .detection import ScenarioMixtures, build_mixtures, log_likelihood_ratios
 from .errors import DimensionError, DomainError
-# trial_stream stays bound here although the engine draws through
-# trial_streams: perfbench/spans.py traces it on this module
-from .model import RngContract, Scenario, trial_stream, trial_streams, validate_scenario
+from .model import RngContract, Scenario, trial_stream, validate_scenario
 from .projection import ProjectionOperator, gen_projection
 
+# version of the Monte Carlo draw layout; a new version moves simulate bytes
+CONTRACT_VERSION = 2
+# trials per block; block k draws from trial_stream(seed, k)
+TRIAL_BLOCK = 256
 PHI_STREAM_BASE = 2**62
 BATCH_MASTER_BASE = 2**61
 POINT_MASTER_BASE = 2**60
-# a chunk holds max(1, CHUNK_VALUES // values) trials, where values counts
-# the ambient values one trial draws (N * P of noise, N * P of random
-# signal, B * P of random artificial noise): about 2 MB of buffers
-CHUNK_VALUES = 2**18
 
 # 95% normal quantile for Wald intervals
 _WALD_Z = 1.959963984540054
@@ -99,86 +99,50 @@ class MonteCarloResult:
     seed: int
 
 
-class _ChunkDrawer:
-    """Draws chunks of trials as whitened observations into reused buffers.
+def _draw_block(
+    scenario: Scenario, mixtures: ScenarioMixtures, block: int, count: int, split: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per-node statistics (proj, sq_norm) of the first `count` trials of
+    trial block `block`, each of shape (count, N); sq_norm is None unless
+    mixtures.uses_energy. Rows before `split` are drawn under H0, the rest
+    under H1.
 
-    Trial t draws from the generator of trial_stream(seed, t), re-seeded in
-    place by model.trial_streams. Within a trial the draw order is fixed: sensing noise (N, P); under H1
-    the per-node signal (N, P) when signal_variance > 0; injection coins (B,);
-    artificial-noise randomness (B, P) when art_variance > 0. The ambient
-    buffers are then scaled and shifted in place, element by element in the
-    order of a one-trial draw, and projected with W by one stacked product,
-    which runs the per-trial product of every trial (a product reshaped to
-    (chunk * N, P) would round differently).
-
-    A chunk holds at most `limit` trials, and at most CHUNK_VALUES ambient
-    values counted over everything a trial draws (at least one trial).
+    The block draws, for all TRIAL_BLOCK rows and in this order, from
+    trial_stream(seed, block): coins random((TRIAL_BLOCK, B)) when B > 0,
+    normals eps standard_normal((TRIAL_BLOCK, N)), and, when the energy is
+    used, chi2 = 2 standard_gamma((M - 1) / 2, (TRIAL_BLOCK, N)). A node's
+    component is its clean density, or for an injecting node the fusion
+    center's mixture component picked by its coin (coin < w+ gives +kappa,
+    coin < w+ + w- gives -kappa, else the unchanged one). With (c, var) that
+    component's offset and variance and a = sqrt(energy), the whitened
+    observation has x = z^T u / a ~ N(c a, var), so x = c a + sqrt(var) eps,
+    proj = a x and sq_norm = x^2 + var chi2.
     """
-
-    def __init__(self, scenario: Scenario, op: ProjectionOperator, limit: int) -> None:
-        model = scenario.model
-        policy = scenario.injection
-        n, p, m = scenario.num_nodes, model.ambient_dim, scenario.compressed_dim
-        b = scenario.num_injecting
-        random_signal = not model.is_deterministic
-        random_art = b > 0 and policy.art_variance > 0.0
-        values = (n + n * random_signal + b * random_art) * p
-        chunk = min(max(1, CHUNK_VALUES // values), limit)
-        self.chunk = chunk
-        self.scenario = scenario
-        self.injectors = b
-        self.projection = op.whitened.T
-        self.noise = np.empty((chunk, n, p))
-        self.signal = np.empty((chunk, n, p)) if random_signal else None
-        self.coins = np.empty((chunk, b))
-        self.art = np.empty((chunk, b, p)) if random_art else None
-        if random_art:
-            self.zw = np.empty((chunk, b, m))
-        elif b:
-            self.zw = policy.kappa * (model.mean @ self.projection)
-        self.zs = np.empty((chunk, n, m))
-
-    def draw(self, hypothesis: str, lo: int, count: int) -> np.ndarray:
-        """Whitened observations of trials lo .. lo + count - 1, a view of
-        shape (count, N, M) into the reused output buffer."""
-        model = self.scenario.model
-        alternative = hypothesis == "H1"
-        signal = self.signal if alternative else None
-        b, art = self.injectors, self.art
-        for k, gen in enumerate(trial_streams(self.scenario.seed, lo, lo + count)):
-            gen.standard_normal(out=self.noise[k])
-            if signal is not None:
-                gen.standard_normal(out=signal[k])
-            if b:
-                gen.random(out=self.coins[k])
-                if art is not None:
-                    gen.standard_normal(out=art[k])
-        u = self.noise[:count]
-        u *= math.sqrt(model.noise_variance)
-        if alternative:
-            u += model.mean
-            if signal is not None:
-                s = signal[:count]
-                s *= math.sqrt(model.signal_variance)
-                u += s
-        zs = np.matmul(u, self.projection, out=self.zs[:count])
+    gen = trial_stream(scenario.seed, block)
+    n, b = scenario.num_nodes, mixtures.num_injecting
+    coins = gen.random((TRIAL_BLOCK, b))[:count] if b else None
+    eps = gen.standard_normal((TRIAL_BLOCK, n))[:count]
+    chi2 = None
+    if mixtures.uses_energy:
+        dof = scenario.compressed_dim - 1
+        chi2 = 2.0 * gen.standard_gamma(dof / 2, (TRIAL_BLOCK, n))[:count]
+    offset = np.empty((count, n))
+    variance = np.empty((count, n))
+    for h, rows in ((0, slice(None, split)), (1, slice(split, None))):
+        clean = mixtures.clean[h]
+        offset[rows] = clean.offsets[0]
+        variance[rows] = clean.variance[0]
         if b:
-            policy = self.scenario.injection
-            if art is not None:
-                w = art[:count]
-                w *= math.sqrt(policy.art_variance)
-                w += policy.kappa * model.mean
-                zw = np.matmul(w, self.projection, out=self.zw[:count])
-            else:
-                zw = self.zw
-            if alternative:
-                p_add, p_sub = policy.p11, policy.p21
-            else:
-                p_add, p_sub = policy.p10, policy.p20
-            coins = self.coins[:count]
-            signs = np.where(coins < p_add, 1.0, np.where(coins < p_add + p_sub, -1.0, 0.0))
-            zs[:, :b] += signs[..., None] * zw
-        return zs
+            mix = mixtures.fc_byz[h]
+            w_add, w_sub = mix.weights[0], mix.weights[1]
+            row_coins = coins[rows]
+            component = np.where(row_coins < w_add, 0, np.where(row_coins < w_add + w_sub, 1, 2))
+            offset[rows, :b] = mix.offsets[component]
+            variance[rows, :b] = mix.variance[component]
+    a = math.sqrt(mixtures.clean[0].energy)
+    x = offset * a + np.sqrt(variance) * eps
+    sq_norm = None if chi2 is None else x * x + variance * chi2
+    return a * x, sq_norm
 
 
 def _check_hypothesis(hypothesis: str) -> str:
@@ -216,28 +180,19 @@ def _accumulate(
     counts: _Counts,
 ) -> None:
     mixtures = build_mixtures(scenario, op)
-    direction = op.whitened @ scenario.model.mean
     n_h0 = (trials + 1) // 2
-    spans = (("H0", 0, n_h0), ("H1", n_h0, trials))
-    drawer = _ChunkDrawer(scenario, op, n_h0)
-    chunk = drawer.chunk
-    for hypothesis, start, stop in spans:
-        for lo in range(start, stop, chunk):
-            zs = drawer.draw(hypothesis, lo, min(chunk, stop - lo))
-            sq_norm = np.einsum("tnm,tnm->tn", zs, zs) if mixtures.uses_energy else None
-            fc, eve = log_likelihood_ratios(mixtures, zs @ direction, sq_norm)
-            positives = int((fc > mixtures.threshold).sum())
-            if hypothesis == "H0":
-                counts.fc_fa += positives
-            else:
-                counts.fc_det += positives
-            if eve is not None:
-                counts.has_eve = True
-                positives = int((eve > mixtures.threshold).sum())
-                if hypothesis == "H0":
-                    counts.eve_fa += positives
-                else:
-                    counts.eve_det += positives
+    for lo in range(0, trials, TRIAL_BLOCK):
+        count = min(TRIAL_BLOCK, trials - lo)
+        split = min(max(n_h0 - lo, 0), count)
+        fc, eve = log_likelihood_ratios(
+            mixtures, *_draw_block(scenario, mixtures, lo // TRIAL_BLOCK, count, split)
+        )
+        counts.fc_fa += int((fc[:split] > mixtures.threshold).sum())
+        counts.fc_det += int((fc[split:] > mixtures.threshold).sum())
+        if eve is not None:
+            counts.has_eve = True
+            counts.eve_fa += int((eve[:split] > mixtures.threshold).sum())
+            counts.eve_det += int((eve[split:] > mixtures.threshold).sum())
     counts.n_h0 += n_h0
     counts.n_h1 += trials - n_h0
 
@@ -281,9 +236,8 @@ def estimate_errors(
 ) -> MonteCarloResult:
     """Estimate error probabilities over the given trial budget.
 
-    Trials are split evenly across hypotheses and each trial draws from the
-    substream keyed by its index, so estimates are independent of chunking
-    and reproducible from the scenario seed alone.
+    Trials are split evenly across hypotheses and trial block k draws from
+    substream k, so estimates are reproducible from the scenario seed alone.
     """
     validate_scenario(scenario)
     _check_op_matches(scenario, op)

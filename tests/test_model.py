@@ -14,10 +14,12 @@ from ccdet import (
     RngContract,
     Scenario,
     SignalModel,
+    build_mixtures,
+    gen_projection,
     trial_stream,
     validate_scenario,
 )
-from ccdet.model import trial_streams
+from ccdet.montecarlo import TRIAL_BLOCK, _draw_block
 
 
 def _model(p=8, mean=None, alpha_inv=0.0, beta_inv=1.0) -> SignalModel:
@@ -221,23 +223,15 @@ def test_trial_stream_matches_contract_address():
     + [int(m) for m in np.random.default_rng(8128).integers(0, 2**64, 3, dtype=np.uint64)],
 )
 def test_trial_streams_reproduce_trial_stream(master):
-    # each yield must be in the exact PCG64 state numpy builds for
-    # trial_stream(master, t), over small t and across 2**32, where t's
-    # entropy grows from one 32-bit word to two
-    for start, stop in ((0, 301), (2**32 - 4, 2**32 + 4)):
-        seen = 0
-        for t, gen in zip(range(start, stop), trial_streams(master, start, stop)):
-            reference = trial_stream(master, t)
-            assert gen.bit_generator.state == reference.bit_generator.state
-            assert np.array_equal(gen.standard_normal(16), reference.standard_normal(16))
-            seen += 1
-        assert seen == stop - start
-
-
-def test_trial_streams_validates_the_range():
-    assert list(trial_streams(3, 5, 5)) == []
-    (gen,) = trial_streams(3, 7, 8)
-    assert np.array_equal(gen.random(4), trial_stream(3, 7).random(4))
-    for start, stop in ((-1, 2), (4, 3), (0, 2**64 + 1)):
-        with pytest.raises(DomainError):
-            trial_streams(3, start, stop)
+    # the engine's stream of trial block k is trial_stream(master, k), for
+    # any 64-bit master and across 2**32, where k's entropy grows from one
+    # 32-bit word to two: under H0 a known signal's node has x = eps, so a
+    # block's projections are sqrt(E) times the block's normals
+    scenario = Scenario(model=_model(p=4), compressed_dim=2, num_nodes=3, seed=master)
+    mixtures = build_mixtures(scenario, gen_projection(2, 4, RngContract(0, 2**62)))
+    a = np.sqrt(mixtures.clean[0].energy)
+    for block in (0, 1, 300, 2**32 - 1, 2**32):
+        proj, sq_norm = _draw_block(scenario, mixtures, block, TRIAL_BLOCK, TRIAL_BLOCK)
+        eps = trial_stream(master, block).standard_normal((TRIAL_BLOCK, 3))
+        assert sq_norm is None
+        assert np.array_equal(proj, a * eps)

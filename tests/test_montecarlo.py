@@ -36,11 +36,13 @@ from ccdet import (
 from ccdet import montecarlo
 from ccdet import test_stat_distribution as statistic_laws
 from ccdet.montecarlo import (
+    CONTRACT_VERSION,
     PHI_STREAM_BASE,
     SWEEP_CSV_HEADER,
+    TRIAL_BLOCK,
     _accumulate,
-    _ChunkDrawer,
     _Counts,
+    _draw_block,
 )
 
 
@@ -232,17 +234,62 @@ def _oracle_llrs(scenario: Scenario, ys: np.ndarray, op):
     return fc, pair(ys, eve_w0, eve_w1, offsets, arts)
 
 
+def _v2_node_draws(scenario: Scenario, energy: float, t: int, hypothesis: str):
+    """Per-trial oracle of contract v2, written out from the scenario
+    fields: (x, var, chi2) of every node of trial t under `hypothesis`.
+
+    It draws the whole block of trial t from trial_stream(seed, t //
+    TRIAL_BLOCK) in the documented layout (coins (TRIAL_BLOCK, B) when
+    B > 0, normals (TRIAL_BLOCK, N), then 2 standard_gamma((M - 1) / 2)
+    (TRIAL_BLOCK, N) when the energy is used) and keeps row t % TRIAL_BLOCK.
+    A node whose injection component shifts it by c kappa (c in {+1, -1,
+    0}) has x = z^T u / a ~ N((h + c kappa) a, var), var = s + h a_s +
+    |c| art and a = sqrt(energy); chi2 is None when the energy is unused.
+    """
+    model, policy = scenario.model, scenario.injection
+    n, b, m = scenario.num_nodes, scenario.num_injecting, scenario.compressed_dim
+    gen = trial_stream(scenario.seed, t // TRIAL_BLOCK)
+    row = t % TRIAL_BLOCK
+    coins = gen.random((TRIAL_BLOCK, b))[row] if b else np.zeros(0)
+    eps = gen.standard_normal((TRIAL_BLOCK, n))[row]
+    art = policy.art_variance if policy is not None else 0.0
+    uses_energy = model.signal_variance > 0.0 or art > 0.0
+    chi2 = None
+    if uses_energy:
+        chi2 = 2.0 * gen.standard_gamma((m - 1) / 2, (TRIAL_BLOCK, n))[row]
+    h = 1.0 if hypothesis == "H1" else 0.0
+    offset = np.full(n, h)
+    var = np.full(n, model.noise_variance + h * model.signal_variance)
+    if b:
+        p_add, p_sub = (policy.p11, policy.p21) if h else (policy.p10, policy.p20)
+        signs = np.where(coins < p_add, 1.0, np.where(coins < p_add + p_sub, -1.0, 0.0))
+        offset[:b] += signs * policy.kappa
+        var[:b] += np.abs(signs) * art
+    return offset * math.sqrt(energy) + np.sqrt(var) * eps, var, chi2
+
+
 def _replay_counts(scenario: Scenario, op, trials: int):
-    """Replay the engine's trial schedule and decide each trial by the
-    scipy density ratio against log(P0/P1), on the compressed observations
-    y = L z of the engine's whitened draws z."""
+    """Replay the engine's trial schedule under contract v2 and decide each
+    trial by the scipy density ratio against log(P0/P1). Each node's
+    whitened observation is rebuilt from its v2 draw as z = x u_hat +
+    sqrt(var chi2) v_hat (u_hat = u / a, or any unit vector when a = 0;
+    v_hat a unit vector orthogonal to it), and scored as y = L z."""
     p0, p1 = scenario.priors
     threshold = math.log(p0 / p1)
+    m = scenario.compressed_dim
+    energy = op.projector_energy(scenario.model.mean)
+    u = op.whitened @ scenario.model.mean
+    u_hat = u / math.sqrt(energy) if energy > 0 else np.eye(m)[0]
+    # the second column of Q is a unit vector orthogonal to u_hat
+    basis = np.linalg.qr(np.column_stack([u_hat, np.eye(m)]))[0]
+    v_hat = basis[:, 1] if m > 1 else np.zeros(m)
     n_h0 = (trials + 1) // 2
     counts = {"H0": [0, 0], "H1": [0, 0]}
     for t in range(trials):
         hypothesis = "H0" if t < n_h0 else "H1"
-        zs = _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
+        x, var, chi2 = _v2_node_draws(scenario, energy, t, hypothesis)
+        rest = np.zeros_like(x) if chi2 is None else np.sqrt(var * chi2)
+        zs = np.outer(x, u_hat) + np.outer(rest, v_hat)
         fc, eve = _oracle_llrs(scenario, zs @ op.gram_cholesky.T, op)
         counts[hypothesis][0] += fc > threshold
         counts[hypothesis][1] += eve is not None and eve > threshold
@@ -256,6 +303,7 @@ def _replay_counts(scenario: Scenario, op, trials: int):
 )
 def test_engine_agrees_with_scalar_path(make_scenario):
     # the scalar path is the per-trial scipy density ratio of _oracle_llrs
+    # on observations rebuilt from the v2 draws
     scenario = make_scenario()
     op = _operator(scenario)
     trials = 120
@@ -301,8 +349,32 @@ def test_llrs_equal_generative_density_ratios(make_scenario):
             assert eve[0] == pytest.approx(eve_ref, rel=1e-9, abs=1e-9)
 
 
+def _verdict_counts(scenario: Scenario, fc_h0, fc_h1, eve_h0, eve_h1):
+    threshold = build_mixtures(scenario, _operator(scenario)).threshold
+    eve = (0, 0) if eve_h0 is None else (
+        int((eve_h0 > threshold).sum()), int((eve_h1 > threshold).sum())
+    )
+    return (
+        fc_h0.size,
+        fc_h1.size,
+        int((fc_h0 > threshold).sum()),
+        int((fc_h1 > threshold).sum()),
+        *eve,
+    )
+
+
+def _v1_llrs(scenario: Scenario, op, hypothesis: str, trials: range):
+    """Per-trial (fc, eve) ratios of contract v1: the ambient draws of
+    _draw_trial_ys from trial_stream(seed, t), scored by the package's test."""
+    zs = np.stack(
+        [_draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t)) for t in trials]
+    )
+    return _score(scenario, op, zs)
+
+
 # (n_h0, n_h1, fc false alarms, fc detections, eve false alarms, eve
-# detections) of a 2000-trial estimate; any change to the draws, the
+# detections) of 2000 trials of contract v1, replayed from _draw_trial_ys
+# and scored by the package's test; any change to the v1 draws, the
 # statistics or the thresholds moves these counts
 PINNED_COUNTS = {
     "deterministic": (1000, 1000, 212, 780, 0, 0),
@@ -311,6 +383,16 @@ PINNED_COUNTS = {
     "injection_deterministic": (1000, 1000, 164, 843, 319, 700),
     "injection_fixed_noise": (1000, 1000, 134, 823, 174, 752),
     "injection_random": (1000, 1000, 178, 899, 305, 854),
+}
+
+# the same 2000-trial estimates drawn by the engine under contract v2
+PINNED_COUNTS_V2 = {
+    "deterministic": (1000, 1000, 221, 767, 0, 0),
+    "random_zero_mean": (1000, 1000, 237, 700, 0, 0),
+    "random_nonzero_mean": (1000, 1000, 103, 759, 0, 0),
+    "injection_deterministic": (1000, 1000, 165, 844, 291, 704),
+    "injection_fixed_noise": (1000, 1000, 122, 826, 177, 751),
+    "injection_random": (1000, 1000, 140, 884, 285, 840),
 }
 
 
@@ -332,10 +414,20 @@ def _pinned_scenario(kind: str) -> Scenario:
 def test_pinned_verdict_counts(kind):
     scenario = _pinned_scenario(kind)
     op = _operator(scenario)
+    fc_h0, eve_h0 = _v1_llrs(scenario, op, "H0", range(1000))
+    fc_h1, eve_h1 = _v1_llrs(scenario, op, "H1", range(1000, 2000))
+    assert _verdict_counts(scenario, fc_h0, fc_h1, eve_h0, eve_h1) == PINNED_COUNTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_COUNTS_V2))
+def test_pinned_contract_v2_counts(kind):
+    assert (CONTRACT_VERSION, TRIAL_BLOCK) == (2, 256)
+    scenario = _pinned_scenario(kind)
+    op = _operator(scenario)
     counts = _Counts()
     _accumulate(scenario, op, 2000, counts)
     got = (counts.n_h0, counts.n_h1, counts.fc_fa, counts.fc_det, counts.eve_fa, counts.eve_det)
-    assert got == PINNED_COUNTS[kind]
+    assert got == PINNED_COUNTS_V2[kind]
     n_h0, n_h1, fa, det, eve_fa, eve_det = got
     result = estimate_errors(scenario, op, 2000)
     p0, p1 = scenario.priors
@@ -344,6 +436,38 @@ def test_pinned_verdict_counts(kind):
         assert result.pe_ev is None
     else:
         assert result.pe_ev == p0 * (eve_fa / n_h0) + p1 * (1.0 - eve_det / n_h1)
+
+
+def _v2_llrs(scenario: Scenario, op, hypothesis: str, blocks: int):
+    """Per-trial (fc, eve) ratios of `blocks` whole v2 blocks, every row
+    drawn under `hypothesis`."""
+    mixtures = build_mixtures(scenario, op)
+    split = TRIAL_BLOCK if hypothesis == "H0" else 0
+    scored = [
+        log_likelihood_ratios(mixtures, *_draw_block(scenario, mixtures, k, TRIAL_BLOCK, split))
+        for k in range(blocks)
+    ]
+    fc = np.concatenate([s[0] for s in scored])
+    eve = None if scored[0][1] is None else np.concatenate([s[1] for s in scored])
+    return fc, eve
+
+
+@pytest.mark.parametrize(
+    "make_scenario",
+    [_deterministic_scenario, _random_scenario, _injection_scenario],
+    ids=["deterministic", "random", "injection"],
+)
+def test_v1_and_v2_llrs_agree_in_distribution(make_scenario):
+    # the two contracts draw the same model in different coordinates, so
+    # their per-trial ratios must pass a two-sample KS test per hypothesis
+    scenario = make_scenario()
+    op = _operator(scenario)
+    for hypothesis in ("H0", "H1"):
+        v1_fc, v1_eve = _v1_llrs(scenario, op, hypothesis, range(1024))
+        v2_fc, v2_eve = _v2_llrs(scenario, op, hypothesis, 4)
+        assert stats.ks_2samp(v1_fc, v2_fc).pvalue > 1e-3
+        if v1_eve is not None:
+            assert stats.ks_2samp(v1_eve, v2_eve).pvalue > 1e-3
 
 
 @pytest.mark.parametrize("priors", [(1.0, 0.0), (0.0, 1.0)])
@@ -363,40 +487,44 @@ def test_degenerate_priors_decide_the_certain_hypothesis(make_scenario, priors):
         assert result.pe_ev == 0.0
 
 
-def test_estimate_errors_chunk_invariance(monkeypatch):
-    # every trial draws from its own substream and is scored on its own, so
-    # results cannot depend on how many trials a chunk holds: one trial per
-    # chunk and seven per chunk (a remainder in both hypotheses' spans of
-    # 125) must give exactly the default's results
+def test_estimate_errors_block_independence(monkeypatch):
+    # block k draws from its own substream and a run keeps only the rows of
+    # its trials, so a run of 2 * 256 + 37 trials must count exactly what
+    # scoring each block drawn on its own counts, in any order
+    trials = 2 * TRIAL_BLOCK + 37
+    n_h0 = (trials + 1) // 2
     for make_scenario in (_deterministic_scenario, _random_scenario, _injection_scenario):
         scenario = make_scenario()
         op = _operator(scenario)
-        default = replace(estimate_errors(scenario, op, 250), wallclock=0.0)
-        assert default.trials == 250
-        assert default.seed == scenario.seed
-        assert default.interval == "wald"
-        # ambient values one trial draws: noise, random signal, random
-        # artificial noise of the injecting nodes
-        model, p = scenario.model, scenario.model.ambient_dim
-        values = scenario.num_nodes * p
-        if not model.is_deterministic:
-            values += scenario.num_nodes * p
-        if scenario.injection is not None and scenario.injection.art_variance > 0.0:
-            values += scenario.num_injecting * p
-        for per_chunk in (1, 7):
-            sizes = []
+        mixtures = build_mixtures(scenario, op)
+        sizes = []
 
-            def scored(mixtures, proj, sq_norm, sizes=sizes):
-                sizes.append(proj.shape[0])
-                return log_likelihood_ratios(mixtures, proj, sq_norm)
+        def scored(mixtures, proj, sq_norm=None, sizes=sizes):
+            sizes.append(proj.shape[0])
+            return log_likelihood_ratios(mixtures, proj, sq_norm)
 
-            monkeypatch.setattr(montecarlo, "CHUNK_VALUES", per_chunk * values)
-            monkeypatch.setattr(montecarlo, "log_likelihood_ratios", scored)
-            chunked = estimate_errors(scenario, op, 250)
-            full, rest = divmod(125, per_chunk)
-            assert sizes == 2 * ([per_chunk] * full + [rest] * (rest > 0))
-            assert replace(chunked, wallclock=0.0) == default
+        monkeypatch.setattr(montecarlo, "log_likelihood_ratios", scored)
+        counts = _Counts()
+        _accumulate(scenario, op, trials, counts)
         monkeypatch.undo()
+        assert sizes == [TRIAL_BLOCK, TRIAL_BLOCK, 37]
+        fc_h0, fc_h1, eve_h0, eve_h1 = [], [], [], []
+        for k in (2, 0, 1):
+            lo = k * TRIAL_BLOCK
+            count = min(TRIAL_BLOCK, trials - lo)
+            split = min(max(n_h0 - lo, 0), count)
+            fc, eve = log_likelihood_ratios(
+                mixtures, *_draw_block(scenario, mixtures, k, count, split)
+            )
+            fc_h0.append(fc[:split])
+            fc_h1.append(fc[split:])
+            if eve is not None:
+                eve_h0.append(eve[:split])
+                eve_h1.append(eve[split:])
+        eves = (np.concatenate(eve_h0), np.concatenate(eve_h1)) if eve_h0 else (None, None)
+        expected = _verdict_counts(scenario, np.concatenate(fc_h0), np.concatenate(fc_h1), *eves)
+        got = (counts.n_h0, counts.n_h1, counts.fc_fa, counts.fc_det, counts.eve_fa, counts.eve_det)
+        assert got == expected
 
 
 @pytest.mark.parametrize(
@@ -412,22 +540,76 @@ def test_estimate_errors_chunk_invariance(monkeypatch):
 )
 @pytest.mark.parametrize("hypothesis", ["H0", "H1"])
 def test_chunk_drawer_equals_per_trial_draws(make_scenario, hypothesis):
-    # bit for bit, not approximately: the stacked product runs each trial's
-    # own (N, P) x (P, M) product; a product reshaped to (chunk * N, P)
-    # rounds differently, with OpenBLAS at the wide shapes (N=5, P=100, M=50)
+    # bit for bit: the rows the engine draws for a block are the per-trial
+    # draws of the documented layout, and a short run (the 37 rows of a
+    # remainder) keeps the first rows of the same block
     scenario = make_scenario()
     op = _operator(scenario)
-    drawer = _ChunkDrawer(scenario, op, 7)
-    for lo, count in ((20, 7), (40, 5)):  # a full chunk, then a remainder
-        zs = drawer.draw(hypothesis, lo, count)
-        expected = np.stack(
-            [
-                _draw_trial_ys(scenario, op, hypothesis, trial_stream(scenario.seed, t))
-                for t in range(lo, lo + count)
-            ]
-        )
-        assert zs.shape == expected.shape
-        assert np.array_equal(zs, expected)
+    mixtures = build_mixtures(scenario, op)
+    energy = op.projector_energy(scenario.model.mean)
+    for block, count in ((1, TRIAL_BLOCK), (1, 37), (4, 5)):
+        split = count if hypothesis == "H0" else 0
+        proj, sq_norm = _draw_block(scenario, mixtures, block, count, split)
+        draws = [
+            _v2_node_draws(scenario, energy, t, hypothesis)
+            for t in range(block * TRIAL_BLOCK, block * TRIAL_BLOCK + count)
+        ]
+        x = np.stack([d[0] for d in draws])
+        assert np.array_equal(proj, math.sqrt(energy) * x)
+        if mixtures.uses_energy:
+            expected = np.stack([xi * xi + var * chi2 for xi, var, chi2 in draws])
+            assert np.array_equal(sq_norm, expected)
+        else:
+            assert sq_norm is None and draws[0][2] is None
+
+
+def _edge_scenario(kind: str) -> Scenario:
+    p, m, n, signal, mean_norm2 = {
+        "M1_random": (6, 1, 4, 2.0, 1.0),
+        "MP_deterministic": (6, 6, 3, 0.0, 1.0),
+        "MP_random": (6, 6, 3, 0.5, 0.5),
+        "N1_deterministic": (20, 5, 1, 0.0, 4.0),
+        "N1_random": (20, 5, 1, 3.0, 1.0),
+        "zero_mean_random": (20, 5, 4, 0.5, 0.0),
+    }[kind]
+    model = SignalModel(p, np.full(p, math.sqrt(mean_norm2 / p)), signal, 1.0)
+    return Scenario(model=model, compressed_dim=m, num_nodes=n, seed=31)
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["M1_random", "MP_deterministic", "MP_random", "N1_deterministic", "N1_random", "zero_mean_random"],
+)
+def test_v2_edges_match_exact_error(kind):
+    # M = 1 draws chi-squared with zero degrees of freedom (always 0), M = P
+    # keeps every coordinate, N = 1 has one node, a zero mean gives a = 0
+    scenario = _edge_scenario(kind)
+    op = _operator(scenario)
+    trials = 20000
+    result = estimate_errors(scenario, op, trials)
+    model = scenario.model
+    energy = op.projector_energy(model.mean)
+    if model.is_deterministic:
+        theory = pe_deterministic_exact(energy, model.noise_variance, scenario.num_nodes)
+    else:
+        theory = pe_random_exact(model, scenario.compressed_dim, scenario.num_nodes, energy).pe
+    se = math.sqrt(theory * (1.0 - theory) / trials)
+    assert abs(result.pe_fc - theory) < 4.0 * se
+
+
+@pytest.mark.parametrize("signal_variance", [0.0, 0.6])
+def test_policy_without_injectors_keeps_clean_counts(signal_variance):
+    # fraction * N = 0.4 rounds to zero injectors: no coins are drawn and
+    # every node is clean, so the fusion center counts what it counts
+    # without a policy (the energy draws come after the normals)
+    scenario = _injection_scenario(fraction=0.08, signal_variance=signal_variance)
+    assert scenario.num_injecting == 0
+    op = _operator(scenario)
+    with_policy, without = _Counts(), _Counts()
+    _accumulate(scenario, op, 1000, with_policy)
+    _accumulate(replace(scenario, injection=None), op, 1000, without)
+    assert (with_policy.fc_fa, with_policy.fc_det) == (without.fc_fa, without.fc_det)
+    assert with_policy.has_eve and not without.has_eve
 
 
 def test_estimate_errors_odd_split_gives_extra_null_trial():
