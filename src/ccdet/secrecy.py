@@ -110,8 +110,11 @@ def high_snr_check(mean_norm2: float, sigma2: float, p_b: float, p_t: float) -> 
     in which the blinding-manifold deflection decreases with the fraction."""
     mean_norm2 = float(mean_norm2)
     sigma2 = float(sigma2)
-    if mean_norm2 <= 0.0 or sigma2 <= 0.0:
-        raise DomainError("mean_norm2 and sigma2 must be strictly positive")
+    if not (mean_norm2 > 0.0 and sigma2 > 0.0):
+        raise DomainError(
+            "mean_norm2 and sigma2 must be strictly positive, "
+            f"got mean_norm2={mean_norm2}, sigma2={sigma2}"
+        )
     p_b = float(p_b)
     p_t = float(p_t)
     if p_t < 0.0:
@@ -148,8 +151,8 @@ def optimize_perfect(
         raise DomainError(f"fraction_min must lie in (0, 1], got {fraction_min}")
     p_b = policy.p_b
     p_t = policy.p_t
-    snr = float(mean_norm2) / float(sigma2)
     fallback = not high_snr_check(mean_norm2, sigma2, p_b, p_t)
+    snr = float(mean_norm2) / float(sigma2)
     if fallback:
         grid = np.linspace(fraction_min, 1.0, DEFAULT_GRID_POINTS)
         values = [dfc_perfect(c_max, f, p_b, p_t, snr) for f in grid]

@@ -92,6 +92,13 @@ def test_high_snr_check_threshold():
         high_snr_check(1.0, 1.0, 1.4, -0.1)
 
 
+@pytest.mark.parametrize("mean_norm2, sigma2", [(1.0, 0.0), (0.0, 1.0), (1.0, -2.0), (math.nan, 1.0)])
+def test_optimize_perfect_validates_before_dividing(mean_norm2, sigma2):
+    # a zero sigma2 used to raise ZeroDivisionError from mean_norm2 / sigma2
+    with pytest.raises(DomainError, match=rf"mean_norm2={mean_norm2}, sigma2={sigma2}"):
+        optimize_perfect(0.5, 0.2, _policy(), mean_norm2, sigma2)
+
+
 def test_optimize_perfect_high_snr_closed_form():
     policy = _policy()
     solution = optimize_perfect(0.8, 0.25, policy, 6.0, 1.0)  # snr=6 > 4.78
