@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from .analytics import (
     ChiSquareSpec,
-    DeflectionReport,
-    RandomPeApprox,
-    RandomPeExact,
     chi2_cdf,
     chi2_sf,
     deflection_clean,
@@ -42,7 +39,6 @@ from .analytics import (
 )
 from .detection import (
     GaussianMixture,
-    ScenarioMixtures,
     build_mixtures,
     log_likelihood_ratios,
 )
@@ -55,7 +51,6 @@ from .errors import (
     ProbabilityError,
     RankError,
     SingularCovarianceError,
-    UnknownFigureError,
     ZeroVectorError,
 )
 from .model import (
@@ -68,7 +63,6 @@ from .model import (
 )
 from .montecarlo import (
     MonteCarloResult,
-    SweepPoint,
     closed_form_columns,
     estimate_errors,
     estimate_errors_fresh_phi,
@@ -77,7 +71,6 @@ from .montecarlo import (
     write_sweep_csv,
 )
 from .projection import (
-    EmbeddingReport,
     ProjectionOperator,
     check_stable_embedding,
     embedding_distortion,
@@ -87,8 +80,6 @@ from .projection import (
     save_operator,
 )
 from .secrecy import (
-    DesignSolution,
-    ScanResult,
     dfc_perfect,
     high_snr_check,
     monotonicity_scan,
@@ -103,11 +94,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CcdetError",
     "ChiSquareSpec",
-    "DeflectionReport",
-    "DesignSolution",
     "DimensionError",
     "DomainError",
-    "EmbeddingReport",
     "GaussianMixture",
     "InfeasibleError",
     "InjectionPolicy",
@@ -115,17 +103,11 @@ __all__ = [
     "PriorError",
     "ProbabilityError",
     "ProjectionOperator",
-    "RandomPeApprox",
-    "RandomPeExact",
     "RankError",
     "RngContract",
-    "ScanResult",
     "Scenario",
-    "ScenarioMixtures",
     "SignalModel",
     "SingularCovarianceError",
-    "SweepPoint",
-    "UnknownFigureError",
     "ZeroVectorError",
     "build_mixtures",
     "check_stable_embedding",

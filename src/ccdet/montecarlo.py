@@ -111,12 +111,10 @@ def _draw_block(
     trial_stream(seed, block): coins random((TRIAL_BLOCK, B)) when B > 0,
     normals eps standard_normal((TRIAL_BLOCK, N)), and, when the energy is
     used, chi2 = 2 standard_gamma((M - 1) / 2, (TRIAL_BLOCK, N)). A node's
-    component is its clean density, or for an injecting node the fusion
-    center's mixture component picked by its coin (coin < w+ gives +kappa,
-    coin < w+ + w- gives -kappa, else the unchanged one). With (c, var) that
-    component's offset and variance and a = sqrt(energy), the whitened
-    observation has x = z^T u / a ~ N(c a, var), so x = c a + sqrt(var) eps,
-    proj = a x and sq_norm = x^2 + var chi2.
+    component is its clean density, or for an injecting node the component
+    of the fusion center's mixture that its coin picks. With (c, var) that
+    component's offset and variance and a = sqrt(energy), x = z^T u / a is
+    N(c a, var): x = c a + sqrt(var) eps, proj = a x, sq_norm = x^2 + var chi2.
     """
     gen = trial_stream(scenario.seed, block)
     n, b = scenario.num_nodes, mixtures.num_injecting
@@ -129,14 +127,11 @@ def _draw_block(
     offset = np.empty((count, n))
     variance = np.empty((count, n))
     for h, rows in ((0, slice(None, split)), (1, slice(split, None))):
-        clean = mixtures.clean[h]
-        offset[rows] = clean.offsets[0]
-        variance[rows] = clean.variance[0]
+        offset[rows], variance[rows] = mixtures.clean[h].offsets[0], mixtures.clean[h].variance[0]
         if b:
             mix = mixtures.fc_byz[h]
-            w_add, w_sub = mix.weights[0], mix.weights[1]
-            row_coins = coins[rows]
-            component = np.where(row_coins < w_add, 0, np.where(row_coins < w_add + w_sub, 1, 2))
+            # coin < w+ picks +kappa, coin < w+ + w- picks -kappa, else 0
+            component = np.searchsorted(np.cumsum(mix.weights[:2]), coins[rows], side="right")
             offset[rows, :b] = mix.offsets[component]
             variance[rows, :b] = mix.variance[component]
     a = math.sqrt(mixtures.clean[0].energy)

@@ -51,15 +51,6 @@ class ProjectionOperator:
     def ambient_dim(self) -> int:
         return self.phi.shape[1]
 
-    def compress(self, u: np.ndarray) -> np.ndarray:
-        """Apply phi to one vector or to rows of a stack."""
-        u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.ambient_dim:
-            raise DimensionError(
-                f"expected trailing dimension {self.ambient_dim}, got {u.shape}"
-            )
-        return u @ self.phi.T
-
     def whiten(self, ys: np.ndarray) -> np.ndarray:
         """Map compressed rows y to L^-1 y, so a covariance sigma2 * gram
         becomes sigma2 * identity."""

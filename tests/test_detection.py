@@ -19,6 +19,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import logsumexp
 
@@ -151,6 +153,32 @@ def test_loglik_rows_match_scipy_logsumexp():
     assert np.array_equal(stacked, mix.loglik_rows(proj, sq_norm).reshape(2, 5))
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_loglik_rows_property_per_component_variances(data):
+    # any isotropic mixture with one variance per component, against scipy's
+    # multivariate_normal densities combined by logsumexp
+    dim = data.draw(st.integers(1, 8), label="dim")
+    k = data.draw(st.integers(1, 3), label="components")
+
+    def floats(lo, hi, size):
+        return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    raw = floats(0.05, 1.0, k)
+    weights = raw / raw.sum()
+    offsets = floats(-3.0, 3.0, k)
+    variances = floats(1e-2, 1e2, k)
+    u = floats(-2.0, 2.0, dim)
+    z = floats(-10.0, 10.0, dim)
+    mix = GaussianMixture(weights, offsets, variances, float(u @ u), dim)
+    parts = [
+        math.log(w) + stats.multivariate_normal.logpdf(z, c * u, v * np.eye(dim))
+        for w, c, v in zip(weights, offsets, variances)
+    ]
+    expected = float(logsumexp(parts))
+    assert float(mix.loglik_rows(z @ u, z @ z)) == pytest.approx(expected, rel=1e-9, abs=1e-7)
+
+
 def test_loglik_single_component_is_plain_logpdf():
     op, mean = _setting(seed=9, m=2, p=5)
     mix = _mixture(op, mean, [1.0], [1.0], 2.0)
@@ -220,19 +248,6 @@ def test_decision_tie_goes_to_null():
 def _deterministic_scenario(op, s, n, noise_variance, priors=(0.5, 0.5)) -> Scenario:
     model = SignalModel(op.ambient_dim, s, 0.0, noise_variance)
     return Scenario(model=model, compressed_dim=op.compressed_dim, num_nodes=n, priors=priors)
-
-
-def test_compress_module_function_checks_shape():
-    op = gen_projection(3, 6, RngContract(1, 2**62))
-    u = np.arange(6.0)
-    assert np.allclose(op.compress(u), op.phi @ u)
-    with pytest.raises(DimensionError):
-        op.compress(np.ones(5))
-    # stacks of ambient vectors compress row-wise; a wrong trailing length fails
-    stack = np.arange(12.0).reshape(2, 6)
-    assert np.allclose(op.compress(stack), (op.phi @ stack.T).T)
-    with pytest.raises(DimensionError):
-        op.compress(np.ones((2, 5)))
 
 
 def test_fc_statistic_deterministic_matches_brute_force():

@@ -75,7 +75,7 @@ def test_whitened_has_orthonormal_rows_and_factors_phi(tmp_path):
     assert np.allclose(w, reference, rtol=1e-10, atol=1e-10)
     # compressing with W is whitening the phi-compressed vector
     u = np.random.default_rng(32).standard_normal((3, 12))
-    assert np.allclose(u @ w.T, op.whiten(op.compress(u)), rtol=1e-10, atol=1e-12)
+    assert np.allclose(u @ w.T, op.whiten(u @ op.phi.T), rtol=1e-10, atol=1e-12)
     path = tmp_path / "phi.txt"
     save_operator(op, path)
     loaded = load_operator(path)
@@ -109,16 +109,6 @@ def test_operator_from_matrix_rejects_bad_shapes():
     bad[0, 0] = np.inf
     with pytest.raises(DimensionError):
         operator_from_matrix(bad)
-
-
-def test_compress_applies_phi_to_vectors_and_stacks():
-    op = gen_projection(3, 7, RngContract(11, 2**62))
-    u = np.arange(7.0)
-    assert np.allclose(op.compress(u), op.phi @ u, rtol=1e-14)
-    stack = np.random.default_rng(5).standard_normal((4, 7))
-    assert np.allclose(op.compress(stack), stack @ op.phi.T, rtol=1e-14)
-    with pytest.raises(DimensionError):
-        op.compress(np.ones(6))
 
 
 def test_whiten_normalizes_gram_covariance():
