@@ -156,7 +156,7 @@ def _check_op_matches(scenario: Scenario, op: ProjectionOperator) -> None:
 
 
 class _Counts:
-    """Verdict tallies accumulated across batches and chunks."""
+    """Verdict tallies accumulated across batches and blocks."""
 
     def __init__(self) -> None:
         self.n_h0 = 0

@@ -1,6 +1,7 @@
-"""Monte Carlo engine tests: reproducibility, chunk invariance, agreement of
-the vectorized engine with per-trial scipy density ratios, pinned verdict
-counts, closed-form cross-checks, and sweep serialization."""
+"""Monte Carlo engine tests: reproducibility, block independence, agreement
+of the engine with per-trial scipy density ratios, the v1 generative model
+as a distributional oracle, pinned verdict counts of both contracts,
+closed-form cross-checks, and sweep serialization."""
 
 from __future__ import annotations
 
@@ -108,11 +109,11 @@ def _operator(scenario: Scenario):
 def _draw_trial_ys(
     scenario: Scenario, op, hypothesis: str, rng: np.random.Generator
 ) -> np.ndarray:
-    """Per-trial oracle of the chunk drawer: one trial's whitened compressed
-    observations, shape (N, M), drawn with its own generator in the
-    documented order (sensing noise (N, P); under H1 the per-node signal
-    (N, P) when signal_variance > 0; injection coins (B,); artificial-noise
-    randomness (B, P) when art_variance > 0)."""
+    """The generative model of contract v1, which drew ambient vectors: one
+    trial's whitened compressed observations, shape (N, M), drawn with its
+    own generator in v1's order (sensing noise (N, P); under H1 the per-node
+    signal (N, P) when signal_variance > 0; injection coins (B,);
+    artificial-noise randomness (B, P) when art_variance > 0)."""
     model = scenario.model
     n = scenario.num_nodes
     p = model.ambient_dim
@@ -349,8 +350,7 @@ def test_llrs_equal_generative_density_ratios(make_scenario):
             assert eve[0] == pytest.approx(eve_ref, rel=1e-9, abs=1e-9)
 
 
-def _verdict_counts(scenario: Scenario, fc_h0, fc_h1, eve_h0, eve_h1):
-    threshold = build_mixtures(scenario, _operator(scenario)).threshold
+def _verdict_counts(threshold: float, fc_h0, fc_h1, eve_h0, eve_h1):
     eve = (0, 0) if eve_h0 is None else (
         int((eve_h0 > threshold).sum()), int((eve_h1 > threshold).sum())
     )
@@ -416,7 +416,8 @@ def test_pinned_verdict_counts(kind):
     op = _operator(scenario)
     fc_h0, eve_h0 = _v1_llrs(scenario, op, "H0", range(1000))
     fc_h1, eve_h1 = _v1_llrs(scenario, op, "H1", range(1000, 2000))
-    assert _verdict_counts(scenario, fc_h0, fc_h1, eve_h0, eve_h1) == PINNED_COUNTS[kind]
+    threshold = build_mixtures(scenario, op).threshold
+    assert _verdict_counts(threshold, fc_h0, fc_h1, eve_h0, eve_h1) == PINNED_COUNTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_COUNTS_V2))
@@ -522,7 +523,9 @@ def test_estimate_errors_block_independence(monkeypatch):
                 eve_h0.append(eve[:split])
                 eve_h1.append(eve[split:])
         eves = (np.concatenate(eve_h0), np.concatenate(eve_h1)) if eve_h0 else (None, None)
-        expected = _verdict_counts(scenario, np.concatenate(fc_h0), np.concatenate(fc_h1), *eves)
+        expected = _verdict_counts(
+            mixtures.threshold, np.concatenate(fc_h0), np.concatenate(fc_h1), *eves
+        )
         got = (counts.n_h0, counts.n_h1, counts.fc_fa, counts.fc_det, counts.eve_fa, counts.eve_det)
         assert got == expected
 
